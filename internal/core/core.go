@@ -497,7 +497,7 @@ func (c *Copilot) ask(ctx context.Context, question string) (*Answer, error) {
 		// (the capture wraps the sandbox context, not the whole ask, so
 		// dashboard panel evaluations cannot overwrite it).
 		var capture *promql.StatsCapture
-		if analyzeFrom(ctx) && c.exec.Engine().StatsEnabled() {
+		if analyzeFrom(ctx) {
 			sctx, capture = promql.WithQueryStats(sctx)
 		}
 		v, execErr := c.exec.Execute(sctx, a.Query, c.evalTimeFor(genResp.Metrics))

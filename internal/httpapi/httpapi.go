@@ -530,6 +530,46 @@ func (s *Server) writeErr(w http.ResponseWriter, code int, err error) {
 	s.writeJSON(w, code, apiError{Status: "error", Error: err.Error()})
 }
 
+// maxJSONBody bounds the body of every JSON POST endpoint (ask, feedback
+// and the issue/proposal actions). Real bodies are well under a kilobyte;
+// the cap stops one request from buffering unbounded memory.
+const maxJSONBody = 1 << 20
+
+// maxQuestionBytes caps a question's length, checked before the question
+// reaches retrieval (embedding cost grows with its length).
+const maxQuestionBytes = 4 << 10
+
+// decodeBody decodes a size-bounded JSON request body into v. On failure
+// it writes the error response — 413 when the body exceeds maxJSONBody,
+// 400 otherwise — and returns false.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJSONBody)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	s.writeErr(w, code, fmt.Errorf("bad request body: %w", err))
+	return false
+}
+
+// checkQuestion rejects an empty (400) or over-long (413) question,
+// writing the error response; it reports whether q may be asked.
+func (s *Server) checkQuestion(w http.ResponseWriter, q string) bool {
+	switch {
+	case strings.TrimSpace(q) == "":
+		s.writeErr(w, http.StatusBadRequest, errors.New("question is required"))
+	case len(q) > maxQuestionBytes:
+		s.writeErr(w, http.StatusRequestEntityTooLarge, fmt.Errorf("question exceeds %d bytes", maxQuestionBytes))
+	default:
+		return true
+	}
+	return false
+}
+
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
@@ -611,12 +651,7 @@ func retryAfter(err error) string {
 
 func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 	var req askRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return
-	}
-	if strings.TrimSpace(req.Question) == "" {
-		s.writeErr(w, http.StatusBadRequest, errors.New("question is required"))
+	if !s.decodeBody(w, r, &req) || !s.checkQuestion(w, req.Question) {
 		return
 	}
 	release, ok := s.admit(w, r)
@@ -890,8 +925,7 @@ func (s *Server) handleFeedbackOpen(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req feedbackOpenRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || strings.TrimSpace(req.Question) == "" {
-		s.writeErr(w, http.StatusBadRequest, errors.New("question is required"))
+	if !s.decodeBody(w, r, &req) || !s.checkQuestion(w, req.Question) {
 		return
 	}
 	// Feedback re-asks run the full pipeline too, so they compete for the
@@ -931,8 +965,7 @@ func (s *Server) handleFeedbackResolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req resolveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	err = s.tracker.Resolve(id, req.Expert, feedback.Contribution{
@@ -976,8 +1009,7 @@ func (s *Server) handleProposalOpen(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req proposeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	p, err := s.tracker.Propose(id, req.Author, feedback.Contribution{
@@ -1029,8 +1061,7 @@ func (s *Server) handleProposalVote(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req voteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	err = s.tracker.Vote(id, req.Expert, req.Up)

@@ -340,3 +340,43 @@ func TestDebugPlan(t *testing.T) {
 		t.Errorf("bad query: status = %d", w.Code)
 	}
 }
+
+// TestOversizedBodies: every JSON POST route answers an oversized body —
+// and /api/v1/ask and /api/v1/feedback an over-long question — with 413
+// and the typed error envelope, and the server keeps answering the next
+// request on the same client.
+func TestOversizedBodies(t *testing.T) {
+	srv := httptest.NewServer(newServer(t))
+	defer srv.Close()
+	huge := `{"question":"` + strings.Repeat("a", 2<<20) + `"}`
+	long := `{"question":"` + strings.Repeat("a", 5<<10) + `"}`
+	for _, c := range []struct{ path, body string }{
+		{"/api/v1/ask", huge},
+		{"/api/v1/ask", long},
+		{"/api/v1/feedback", huge},
+		{"/api/v1/feedback", long},
+		{"/api/v1/feedback/1/resolve", huge},
+		{"/api/v1/feedback/1/propose", huge},
+		{"/api/v1/proposals/1/vote", huge},
+	} {
+		resp, err := srv.Client().Post(srv.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatalf("%s (%d bytes): %v", c.path, len(c.body), err)
+		}
+		var out map[string]any
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || err != nil || out["status"] != "error" || out["error"] == "" {
+			t.Errorf("%s (%d bytes) = %d %v (decode err %v), want 413 with an error envelope",
+				c.path, len(c.body), resp.StatusCode, out, err)
+		}
+		next, err := srv.Client().Get(srv.URL + "/healthz")
+		if err != nil {
+			t.Fatalf("after %s: %v", c.path, err)
+		}
+		next.Body.Close()
+		if next.StatusCode != http.StatusOK {
+			t.Errorf("after %s: healthz = %d", c.path, next.StatusCode)
+		}
+	}
+}

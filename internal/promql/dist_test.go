@@ -30,20 +30,9 @@ func unshardedTestDB(t testing.TB) (*tsdb.DB, time.Time) {
 func TestDistributedGoldenCorpus(t *testing.T) {
 	base, end := unshardedTestDB(t)
 	opts := DefaultEngineOptions()
-	opts.LegacyEval = false
-	opts.StepwiseRange = false
 	ref := NewEngine(base, opts)
 
-	windows := []struct {
-		name       string
-		start, end time.Time
-		step       time.Duration
-	}{
-		{"mid", end.Add(-20 * time.Minute), end, time.Minute},
-		{"pre-data", end.Add(-40 * time.Minute), end.Add(-25 * time.Minute), 30 * time.Second},
-		{"past-end", end.Add(-5 * time.Minute), end.Add(10 * time.Minute), 2 * time.Minute},
-		{"single-step", end, end, time.Minute},
-	}
+	windows := rangeWindows(end)
 	for _, n := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
 			eng := NewEngine(tsdb.Reshard(base, n), opts)
@@ -202,8 +191,6 @@ func TestDistDemotionOnExoticLabelOrder(t *testing.T) {
 	build(sharded)
 
 	opts := DefaultEngineOptions()
-	opts.LegacyEval = false
-	opts.StepwiseRange = false
 	eng := NewEngine(sharded, opts)
 	ref := NewEngine(single, opts)
 	var stats RangeStats
@@ -267,8 +254,6 @@ func TestShardedClampRegression(t *testing.T) {
 	}
 
 	opts := DefaultEngineOptions()
-	opts.LegacyEval = false
-	opts.StepwiseRange = false
 	eng := NewEngine(sharded, opts)
 	ref := NewEngine(single, opts)
 	end := base.Add(12 * time.Minute) // past every head
@@ -299,8 +284,6 @@ func TestShardedClampRegression(t *testing.T) {
 func TestDistBudgetEquivalence(t *testing.T) {
 	base, end := unshardedTestDB(t)
 	opts := DefaultEngineOptions()
-	opts.LegacyEval = false
-	opts.StepwiseRange = false
 	opts.MaxSamples = 3 // each step of the aggregation touches 4 series
 	tight := opts
 	tight.MaxSamples = 1 // smf_pdu_session_active has 2 series per step

@@ -4,8 +4,6 @@ import (
 	"context"
 	"testing"
 	"time"
-
-	"dio/internal/tsdb"
 )
 
 // rangeCorpus exercises every evaluation shape that touches storage:
@@ -40,98 +38,60 @@ var rangeCorpus = []string{
 	"scalar(sum(smf_pdu_session_active)) * 2",
 }
 
-// equivalenceEngines returns the three evaluation paths that must agree
-// byte-for-byte on every query: the plan-based executor (default), the
-// legacy select-once tree-walker, and the legacy stepwise tree-walker.
-// Options are constructed explicitly so the test pins all three paths even
-// when DIO_PROMQL_LEGACY is set in the environment.
-func equivalenceEngines(db tsdb.Storage) map[string]*Engine {
-	planned := DefaultEngineOptions()
-	planned.LegacyEval = false
-	planned.StepwiseRange = false
-
-	legacy := planned
-	legacy.LegacyEval = true
-
-	stepwise := planned
-	stepwise.StepwiseRange = true
-
-	return map[string]*Engine{
-		"planner":  NewEngine(db, planned),
-		"legacy":   NewEngine(db, legacy),
-		"stepwise": NewEngine(db, stepwise),
-	}
+// rangeWindow is one window shape the golden corpus runs over.
+type rangeWindow struct {
+	name       string
+	start, end time.Time
+	step       time.Duration
 }
 
-// TestQueryRangeEquivalence: the plan-based executor, the legacy select-once
-// cursor path, and the legacy stepwise path (full storage selection per
-// step) must produce byte-identical matrices for every corpus query, over
-// windows that include steps before data begins and steps past its end
-// (lookback/staleness).
-func TestQueryRangeEquivalence(t *testing.T) {
-	db, end := testDB(t)
-	engines := equivalenceEngines(db)
-
-	windows := []struct {
-		name       string
-		start, end time.Time
-		step       time.Duration
-	}{
+// rangeWindows are the corpus windows ending at end: steps before data
+// begins and steps past its end (lookback/staleness) included.
+func rangeWindows(end time.Time) []rangeWindow {
+	return []rangeWindow{
 		{"mid", end.Add(-20 * time.Minute), end, time.Minute},
 		{"pre-data", end.Add(-40 * time.Minute), end.Add(-25 * time.Minute), 30 * time.Second},
 		{"past-end", end.Add(-5 * time.Minute), end.Add(10 * time.Minute), 2 * time.Minute},
 		{"single-step", end, end, time.Minute},
 	}
-	for _, w := range windows {
+}
+
+// TestQueryRangeEquivalence: the engine must produce byte-identical
+// matrices (or identical errors) to the reference evaluator for every
+// corpus query over every window shape.
+func TestQueryRangeEquivalence(t *testing.T) {
+	db, end := testDB(t)
+	eng := NewEngine(db, DefaultEngineOptions())
+	ref := newReference(db, DefaultEngineOptions())
+	ctx := context.Background()
+	for _, w := range rangeWindows(end) {
 		for _, q := range rangeCorpus {
-			ref, refErr := engines["stepwise"].QueryRange(context.Background(), q, w.start, w.end, w.step)
-			for name, eng := range engines {
-				if name == "stepwise" {
-					continue
-				}
-				m, err := eng.QueryRange(context.Background(), q, w.start, w.end, w.step)
-				if (err == nil) != (refErr == nil) {
-					t.Fatalf("%s %q: error mismatch: %s=%v stepwise=%v", w.name, q, name, err, refErr)
-				}
-				if err != nil {
-					if err.Error() != refErr.Error() {
-						t.Errorf("%s %q: error text differs\n%s:   %v\nstepwise: %v", w.name, q, name, err, refErr)
-					}
-					continue
-				}
-				if got, want := m.String(), ref.String(); got != want {
-					t.Errorf("%s %q: matrices differ\n%s:\n%s\nstepwise:\n%s", w.name, q, name, got, want)
-				}
-			}
+			m, err := eng.QueryRange(ctx, q, w.start, w.end, w.step)
+			want, wantErr := ref.QueryRange(ctx, q, w.start, w.end, w.step)
+			checkSame(t, w.name+" "+q, m, err, want, wantErr)
 		}
 	}
 }
 
-// TestQueryRangeEquivalenceSingleWorker pins that the parallel executor and
-// a single-worker executor (no partitioning, no branch parallelism) render
-// identically — parallelism must be invisible in results.
+// TestQueryRangeEquivalenceSingleWorker pins that parallelism is invisible
+// in results: an 8-worker engine (step partitions, branch parallelism)
+// and a single-worker engine both match the reference.
 func TestQueryRangeEquivalenceSingleWorker(t *testing.T) {
 	db, end := testDB(t)
 	par := DefaultEngineOptions()
-	par.LegacyEval = false
-	par.StepwiseRange = false
 	par.ExecWorkers = 8
 	seq := par
 	seq.ExecWorkers = 1
-	pe, se := NewEngine(db, par), NewEngine(db, seq)
+	engines := map[string]*Engine{"workers=8": NewEngine(db, par), "workers=1": NewEngine(db, seq)}
+	ref := newReference(db, par)
 
 	start := end.Add(-25 * time.Minute)
+	ctx := context.Background()
 	for _, q := range rangeCorpus {
-		m1, err1 := pe.QueryRange(context.Background(), q, start, end, 5*time.Second)
-		m2, err2 := se.QueryRange(context.Background(), q, start, end, 5*time.Second)
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("%q: error mismatch: workers=8 %v workers=1 %v", q, err1, err2)
-		}
-		if err1 != nil {
-			continue
-		}
-		if got, want := m1.String(), m2.String(); got != want {
-			t.Errorf("%q: matrices differ\nworkers=8:\n%s\nworkers=1:\n%s", q, got, want)
+		want, wantErr := ref.QueryRange(ctx, q, start, end, 5*time.Second)
+		for name, eng := range engines {
+			m, err := eng.QueryRange(ctx, q, start, end, 5*time.Second)
+			checkSame(t, name+" "+q, m, err, want, wantErr)
 		}
 	}
 }
@@ -177,36 +137,17 @@ func TestQueryRangeStats(t *testing.T) {
 	}
 }
 
-// TestQueryRangeStepwiseSkipsHook: the legacy path has no select-once cache
-// and must not report range stats.
-func TestQueryRangeStepwiseSkipsHook(t *testing.T) {
-	db, end := testDB(t)
-	opts := DefaultEngineOptions()
-	opts.StepwiseRange = true
-	eng := NewEngine(db, opts)
-	called := false
-	eng.SetHooks(Hooks{OnRangeEval: func(RangeStats) { called = true }})
-	if _, err := eng.QueryRange(context.Background(), "smf_pdu_session_active", end.Add(-5*time.Minute), end, time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	if called {
-		t.Error("OnRangeEval fired on the stepwise path")
-	}
-}
-
-// TestQueryRangeMaxSamplesPerStep: the sample budget is per step, exactly
-// as on the stepwise path — the cached fetch must not change when a query
-// trips MaxSamples.
+// TestQueryRangeMaxSamplesPerStep: the sample budget is per step, and
+// the engine trips it exactly where the reference does.
 func TestQueryRangeMaxSamplesPerStep(t *testing.T) {
 	db, end := testDB(t)
 	opts := DefaultEngineOptions()
 	opts.MaxSamples = 3 // each step touches 4 series
-	for _, stepwise := range []bool{false, true} {
-		opts.StepwiseRange = stepwise
-		eng := NewEngine(db, opts)
-		_, err := eng.QueryRange(context.Background(), "amfcc_n1_auth_request + smf_pdu_session_active", end.Add(-5*time.Minute), end, time.Minute)
-		if err == nil {
-			t.Errorf("stepwise=%v: expected ErrTooManySamples, got nil", stepwise)
-		}
+	const q = "amfcc_n1_auth_request + smf_pdu_session_active"
+	m, err := NewEngine(db, opts).QueryRange(context.Background(), q, end.Add(-5*time.Minute), end, time.Minute)
+	if err == nil {
+		t.Fatal("expected ErrTooManySamples, got nil")
 	}
+	want, wantErr := newReference(db, opts).QueryRange(context.Background(), q, end.Add(-5*time.Minute), end, time.Minute)
+	checkSame(t, q, m, err, want, wantErr)
 }

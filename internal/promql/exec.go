@@ -6,8 +6,9 @@ package promql
 //
 //   - Range queries split their steps into contiguous partitions, one
 //     goroutine each, every partition owning private scan cursors that
-//     advance monotonically through its steps (the select-once cursor
-//     discipline from selcache.go, parallelised). Each partition streams
+//     advance monotonically through its steps (select-once: each scan is
+//     fetched from storage once per query, and every step after the first
+//     advances cursors over the fetched samples). Each partition streams
 //     its steps in bounded batches (EngineOptions.BatchSize): step
 //     vectors fold into a per-partition accumulator as they are produced,
 //     and the arena holding the batch's intermediates (pool.go) resets at
@@ -29,9 +30,9 @@ package promql
 // must not mask the root cause) — the same rule the dashboard renderer
 // uses for its panel pool.
 //
-// Sample budgets match the legacy evaluator exactly: each range step gets
-// a fresh MaxSamples budget, and subqueries inherit and extend their
-// step's budget. Instant queries use one budget guarded by an atomic so
+// Sample budgets are per evaluation: each range step gets a fresh
+// MaxSamples budget, and subqueries inherit and extend their step's
+// budget. Instant queries use one budget guarded by an atomic so
 // parallel branches share it safely.
 
 import (
@@ -82,10 +83,10 @@ type execState struct {
 	resets       atomic.Int64
 	totalSamples atomic.Int64
 
-	// opStats, when non-nil, holds one accumulator per operator of the
-	// compiled plan (indexed by statsIdx) — the EXPLAIN ANALYZE slab,
-	// pre-sized once per execution and updated with atomics. shardWallNs
-	// adds per-shard fan-out wall times for distribute nodes, indexed
+	// opStats holds one accumulator per operator of the compiled plan
+	// (indexed by statsIdx) — the EXPLAIN ANALYZE slab, pre-sized once
+	// per execution and updated with atomics. shardWallNs adds per-shard
+	// fan-out wall times for distribute nodes, indexed
 	// distID*shards+shard.
 	opStats     []opSlot
 	shardWallNs []int64
@@ -93,10 +94,9 @@ type execState struct {
 	workers int
 	sem     chan struct{} // bounds extra goroutines beyond the caller's
 
-	// pooling enables the per-partition arena allocators; batch is the
-	// step count between arena resets (<= 0: a partition's whole span).
-	pooling bool
-	batch   int
+	// batch is the step count between arena resets (<= 0: a partition's
+	// whole span).
+	batch int
 	// peakIntermediate collects the max pooled-intermediate high-water
 	// mark across the execution's allocs (RangeStats.PeakIntermediateBytes).
 	peakIntermediate atomic.Int64
@@ -112,8 +112,8 @@ func (e *Engine) newExecState(cp *compiledPlan, startMs, endMs int64) *execState
 		lookbackMs: e.opts.LookbackDelta.Milliseconds(),
 		services:   make([]int64, len(cp.plan.scans)),
 		workers:    e.opts.ExecWorkers,
-		pooling:    !e.opts.DisablePooling,
 		batch:      e.opts.BatchSize,
+		opStats:    make([]opSlot, len(cp.stats)),
 	}
 	hints := cp.plan.selectHints(startMs, endMs)
 	if e.sharded != nil {
@@ -156,11 +156,8 @@ func (e *Engine) newExecState(cp *compiledPlan, startMs, endMs int64) *execState
 	if st.workers > 1 {
 		st.sem = make(chan struct{}, st.workers-1)
 	}
-	if !e.opts.DisableQueryStats {
-		st.opStats = make([]opSlot, len(cp.stats))
-		if st.shardSeries != nil && len(cp.distScans) > 0 {
-			st.shardWallNs = make([]int64, len(cp.distScans)*len(st.shardSeries))
-		}
+	if st.shardSeries != nil && len(cp.distScans) > 0 {
+		st.shardWallNs = make([]int64, len(cp.distScans)*len(st.shardSeries))
 	}
 	return st
 }
@@ -216,8 +213,18 @@ func (st *execState) notePeakIntermediate(b int64) {
 	}
 }
 
-// useCursor is the per-partition cursor state of one selector use site
-// (the partitioned analogue of selEntry in selcache.go).
+// labelsRef identifies a label slice by backing array and length. Equal
+// refs view the exact same elements, so (labels being immutable) they
+// share one canonical key.
+type labelsRef struct {
+	p *tsdb.Label
+	n int
+}
+
+// useCursor is the per-partition cursor state of one selector use site:
+// inst[i] is the index of the first sample of series i past the last
+// instant timestamp served, and lo[i]/hi[i] bound the last (start, end]
+// window served.
 type useCursor struct {
 	inst     []int
 	instT    int64
@@ -254,18 +261,13 @@ type part struct {
 	distAcc   *atomic.Int64
 	// al, when non-nil, is this part's batch arena (pool.go): every
 	// intermediate container the part's operators produce comes from it
-	// and is recycled at the next batch boundary. Nil on instant parts
-	// and when pooling is disabled — all methods degrade to plain heap
-	// allocation.
+	// and is recycled at the next batch boundary. Nil on instant parts —
+	// all methods degrade to plain heap allocation.
 	al *alloc
 }
 
 func (st *execState) newCursorPart(ctx context.Context) *part {
-	p := &part{st: st, ctx: ctx, shard: -1, cursors: make([]useCursor, st.cp.nCursors)}
-	if st.pooling {
-		p.al = getAlloc(st.keys)
-	}
-	return p
+	return &part{st: st, ctx: ctx, shard: -1, cursors: make([]useCursor, st.cp.nCursors), al: getAlloc(st.keys)}
 }
 
 // resetArena recycles everything this part (and its per-shard children)
@@ -315,14 +317,11 @@ func (p *part) shardParts(n int) []*part {
 		p.distAcc = new(atomic.Int64)
 		p.distParts = make([]*part, n)
 		for i := range p.distParts {
-			dp := &part{st: p.st, ctx: p.ctx, shard: i, asamples: p.distAcc, cursors: make([]useCursor, p.st.cp.nCursors)}
-			if p.al != nil {
-				// Each shard child runs on its own goroutine, so it gets
-				// its own arena; the parent resets and releases them in
-				// lockstep with its own.
-				dp.al = getAlloc(p.st.keys)
-			}
-			p.distParts[i] = dp
+			// Each shard child runs on its own goroutine, so it gets its
+			// own arena; the parent resets and releases them in lockstep
+			// with its own.
+			p.distParts[i] = &part{st: p.st, ctx: p.ctx, shard: i, asamples: p.distAcc,
+				cursors: make([]useCursor, p.st.cp.nCursors), al: getAlloc(p.st.keys)}
 		}
 	}
 	p.distAcc.Store(int64(p.samples))
@@ -396,21 +395,16 @@ func (p *part) mergeShardVectors(vecs []Vector) (Vector, bool) {
 	return out, true
 }
 
-// eval runs one operator, enforcing cancellation at every node like the
-// legacy evaluator's eval dispatcher. With stats collection on it also
+// eval runs one operator, enforcing cancellation at every node. It also
 // accumulates the operator's call count and output series into its
-// pre-sized slot — atomics only, no allocation, and never a change to
-// the value flowing through (stats-on output is byte-identical). Wall
-// time is sampled (every statsTimeEvery-th call per operator, the first
-// included) and scaled back up by buildOp: on hosts without a cheap
-// monotonic clock a per-call time.Now pair alone would blow the 5%
-// overhead budget dio-bench enforces.
+// pre-sized stats slot — atomics only, no allocation, and never a change
+// to the value flowing through. Wall time is sampled (every
+// statsTimeEvery-th call per operator, the first included) and scaled
+// back up by buildOp: on hosts without a cheap monotonic clock a per-call
+// time.Now pair alone would cost more than the rest of the collection.
 func (p *part) eval(op physOp, ts int64) (Value, error) {
 	if err := p.ctx.Err(); err != nil {
 		return nil, err
-	}
-	if p.st.opStats == nil {
-		return op.exec(p, ts)
 	}
 	sl := &p.st.opStats[op.statsIdx()]
 	if (atomic.AddInt64(&sl.calls, 1)-1)&(statsTimeEvery-1) != 0 {
@@ -434,9 +428,6 @@ func (p *part) evalVec(op vecExecer, ts int64) (Vector, error) {
 	if err := p.ctx.Err(); err != nil {
 		return nil, err
 	}
-	if p.st.opStats == nil {
-		return op.execVec(p, ts)
-	}
 	sl := &p.st.opStats[op.statsIdx()]
 	if (atomic.AddInt64(&sl.calls, 1)-1)&(statsTimeEvery-1) != 0 {
 		v, err := op.execVec(p, ts)
@@ -457,9 +448,6 @@ func (p *part) window(op windowOp, ts int64) (Matrix, int64, int64, error) {
 	if err := p.ctx.Err(); err != nil {
 		return nil, 0, 0, err
 	}
-	if p.st.opStats == nil {
-		return op.window(p, ts)
-	}
 	sl := &p.st.opStats[op.statsIdx()]
 	if (atomic.AddInt64(&sl.calls, 1)-1)&(statsTimeEvery-1) != 0 {
 		m, start, end, err := op.window(p, ts)
@@ -477,9 +465,7 @@ func (p *part) window(op windowOp, ts int64) (Matrix, int64, int64, error) {
 // noteSamples attributes stored samples to the scan operator that
 // accounted them.
 func (p *part) noteSamples(sx, n int) {
-	if p.st.opStats != nil {
-		atomic.AddInt64(&p.st.opStats[sx].samples, int64(n))
-	}
+	atomic.AddInt64(&p.st.opStats[sx].samples, int64(n))
 }
 
 func (p *part) account(n int) error {
@@ -528,9 +514,11 @@ func (p *part) vector(op physOp, ts int64) (Vector, error) {
 	return vec, nil
 }
 
-// keyOf mirrors selCache.keyOf: stored series labels resolve to their
-// cached fingerprint, fresh label sets compute their key. Parts with an
-// arena also hit its derived-label key cache (same strings, no rebuild).
+// keyOf resolves a label set's canonical key: stored series labels
+// resolve to their cached fingerprint (seeded at prefetch), fresh label
+// sets — built by aggregations and label-transforming functions each
+// step — compute their key. Parts with an arena also hit its
+// derived-label key cache (same strings, no rebuild).
 func (p *part) keyOf(ls tsdb.Labels) string {
 	if p.al != nil {
 		return p.al.keyFor(ls)
@@ -542,6 +530,34 @@ func (p *part) keyOf(ls tsdb.Labels) string {
 		return k
 	}
 	return ls.Key()
+}
+
+// seekAfter returns the smallest index with samples[i].T > t. When scan is
+// true the cursor hint is known to be at or behind the target and the seek
+// gallops: exponential probing from the hint, then binary search within
+// the last doubling — O(log d) in the distance advanced, so dense series
+// stepped over with a coarse resolution (long-range queries) don't pay a
+// linear walk per step. A cold seek binary-searches from scratch.
+func seekAfter(samples []tsdb.Sample, hint int, t int64, scan bool) int {
+	if !scan {
+		return sort.Search(len(samples), func(i int) bool { return samples[i].T > t })
+	}
+	if hint >= len(samples) || samples[hint].T > t {
+		return hint
+	}
+	// samples[hint].T <= t: gallop until lo is the largest probed index
+	// with samples[lo].T <= t and lo+bound overshoots (or hits the end).
+	lo, bound := hint, 1
+	for lo+bound < len(samples) && samples[lo+bound].T <= t {
+		lo += bound
+		bound <<= 1
+	}
+	hi := lo + bound
+	if hi > len(samples) {
+		hi = len(samples)
+	}
+	// Answer lies in (lo, hi]: binary-search the open interval.
+	return lo + 1 + sort.Search(hi-lo-1, func(k int) bool { return samples[lo+1+k].T > t })
 }
 
 // instant serves a selector read at adjusted timestamp ts, stamping
@@ -773,8 +789,8 @@ func (e *Engine) execRange(ctx context.Context, expr Expr, start, end time.Time,
 	// Deterministic merge: steps folded into per-partition accumulators in
 	// step order; partitions are contiguous, so concatenating accumulators
 	// in ascending partition order keeps every series' samples
-	// time-ascending, and the final sort.Strings reproduces the exact
-	// series order the sequential legacy loop renders.
+	// time-ascending, and the final sort.Strings gives the rendered series
+	// order of a sequential evaluation.
 	acc, order := accs[0].acc, accs[0].order
 	for _, pa := range accs[1:] {
 		for _, key := range pa.order {
@@ -825,8 +841,8 @@ func (a *rangeAcc) foldVec(p *part, vec Vector, ts int64) {
 	}
 }
 
-// foldScalar appends a scalar step under the empty key, exactly as the
-// legacy loop's Vector{{Labels: nil, ...}} wrapping did.
+// foldScalar appends a scalar step under the empty key, as a one-sample
+// label-less vector would.
 func (a *rangeAcc) foldScalar(v float64, ts int64) {
 	ms, ok := a.acc[""]
 	if !ok {
@@ -835,17 +851,6 @@ func (a *rangeAcc) foldScalar(v float64, ts int64) {
 		a.order = append(a.order, "")
 	}
 	ms.Samples = append(ms.Samples, tsdb.Sample{T: ts, V: v})
-}
-
-// keyOf on the shared state (assembly runs after all partitions joined).
-func (st *execState) keyOf(ls tsdb.Labels) string {
-	if len(ls) == 0 {
-		return ls.Key()
-	}
-	if k, ok := st.keys[labelsRef{&ls[0], len(ls)}]; ok {
-		return k
-	}
-	return ls.Key()
 }
 
 // runSpan evaluates a contiguous run of steps [lo, hi) in arena batches:

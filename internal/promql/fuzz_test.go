@@ -11,9 +11,9 @@ import (
 
 // fuzzTooDeep rejects inputs whose evaluation cost is unbounded by
 // construction — subqueries with pathological step counts — before they
-// reach either engine. Everything else must parse → plan → evaluate
-// without panicking, and the planner must agree with the legacy
-// tree-walker on both success/failure and rendered results.
+// reach the evaluators. Everything else must parse → plan → evaluate
+// without panicking, and the engine must agree with the reference
+// evaluator on both success/failure and rendered results.
 func fuzzTooDeep(e Expr) bool {
 	deep := false
 	var walk func(Expr)
@@ -57,8 +57,8 @@ func fuzzTimeout(err error) bool {
 }
 
 // FuzzParsePlanEval: for arbitrary input, parse → plan → evaluate never
-// panics, and on valid inputs the plan-based executor and the legacy
-// tree-walker agree byte-for-byte (instant and range). Seeded with the
+// panics, and on valid inputs the engine — unsharded and at 4 shards —
+// and the reference evaluator agree byte-for-byte (instant and range). Seeded with the
 // golden range corpus. CI runs a 30s -fuzz smoke on top of the checked-in
 // corpus replay that `go test` always performs.
 func FuzzParsePlanEval(f *testing.F) {
@@ -78,16 +78,12 @@ func FuzzParsePlanEval(f *testing.F) {
 
 	db, end := testDB(f)
 	base := DefaultEngineOptions()
-	base.LegacyEval = false
-	base.StepwiseRange = false
 	base.MaxSamples = 1_000_000
 	base.Timeout = 5 * time.Second
 	planner := NewEngine(db, base)
-	legacyOpts := base
-	legacyOpts.LegacyEval = true
-	legacy := NewEngine(db, legacyOpts)
+	ref := newReference(db, base)
 	// The 4-shard engine runs the same data through fan-out + distributed
-	// partial aggregation; it must agree with the single-shard planner.
+	// partial aggregation; it must agree with the reference too.
 	shardBase := db
 	if sh, ok := db.(*tsdb.ShardedDB); ok {
 		shardBase = sh.Gather()
@@ -107,56 +103,20 @@ func FuzzParsePlanEval(f *testing.F) {
 		}
 		ctx := context.Background()
 
-		pv, perr := planner.Query(ctx, input, end)
-		lv, lerr := legacy.Query(ctx, input, end)
-		if fuzzTimeout(perr) || fuzzTimeout(lerr) {
-			return
-		}
-		if (perr == nil) != (lerr == nil) {
-			t.Fatalf("instant %q: error mismatch: planner=%v legacy=%v", input, perr, lerr)
-		}
-		if perr == nil {
-			if got, want := FormatValue(pv), FormatValue(lv); got != want {
-				t.Fatalf("instant %q: results differ\nplanner:\n%s\nlegacy:\n%s", input, got, want)
-			}
-		}
-		sv, serr := sharded.Query(ctx, input, end)
-		if fuzzTimeout(serr) {
-			return
-		}
-		if (serr == nil) != (perr == nil) {
-			t.Fatalf("instant %q: error mismatch: sharded=%v planner=%v", input, serr, perr)
-		}
-		if serr == nil {
-			if got, want := FormatValue(sv), FormatValue(pv); got != want {
-				t.Fatalf("instant %q: sharded result differs\nsharded:\n%s\nplanner:\n%s", input, got, want)
+		want, wantErr := ref.Query(ctx, input, end)
+		for name, eng := range map[string]*Engine{"planner": planner, "sharded": sharded} {
+			v, err := eng.Query(ctx, input, end)
+			if !fuzzTimeout(err) && !fuzzTimeout(wantErr) {
+				checkSame(t, "instant "+name+" "+input, v, err, want, wantErr)
 			}
 		}
 
 		start := end.Add(-10 * time.Minute)
-		pm, perr := planner.QueryRange(ctx, input, start, end, time.Minute)
-		lm, lerr := legacy.QueryRange(ctx, input, start, end, time.Minute)
-		if fuzzTimeout(perr) || fuzzTimeout(lerr) {
-			return
-		}
-		if (perr == nil) != (lerr == nil) {
-			t.Fatalf("range %q: error mismatch: planner=%v legacy=%v", input, perr, lerr)
-		}
-		if perr == nil {
-			if got, want := pm.String(), lm.String(); got != want {
-				t.Fatalf("range %q: matrices differ\nplanner:\n%s\nlegacy:\n%s", input, got, want)
-			}
-		}
-		sm, serr := sharded.QueryRange(ctx, input, start, end, time.Minute)
-		if fuzzTimeout(serr) {
-			return
-		}
-		if (serr == nil) != (perr == nil) {
-			t.Fatalf("range %q: error mismatch: sharded=%v planner=%v", input, serr, perr)
-		}
-		if serr == nil {
-			if got, want := sm.String(), pm.String(); got != want {
-				t.Fatalf("range %q: sharded matrix differs\nsharded:\n%s\nplanner:\n%s", input, got, want)
+		wantM, wantErr := ref.QueryRange(ctx, input, start, end, time.Minute)
+		for name, eng := range map[string]*Engine{"planner": planner, "sharded": sharded} {
+			m, err := eng.QueryRange(ctx, input, start, end, time.Minute)
+			if !fuzzTimeout(err) && !fuzzTimeout(wantErr) {
+				checkSame(t, "range "+name+" "+input, m, err, wantM, wantErr)
 			}
 		}
 	})

@@ -1,11 +1,11 @@
 package promql
 
-// Shared evaluation kernels. Both engine paths — the legacy tree-walking
-// evaluator in engine.go and the compiled physical operators in
-// physical.go — delegate the actual math to the functions in this file.
-// Keeping a single implementation is what makes the planner/legacy
-// differential tests meaningful: the two paths can only diverge in how
-// they fetch samples and order work, never in the arithmetic itself.
+// Evaluation kernels. The compiled physical operators in physical.go and
+// the test-only reference evaluator (reference_test.go) both delegate the
+// actual math to the functions in this file. Keeping a single
+// implementation is what makes the differential tests meaningful: the
+// two can only diverge in how they fetch samples and order work, never in
+// the arithmetic itself.
 
 import (
 	"fmt"
@@ -222,8 +222,8 @@ func histogramQuantileVector(al *alloc, phi float64, vec Vector, ts int64) Vecto
 	return out
 }
 
-// compileLabelReplace compiles a label_replace pattern with the same
-// anchoring and error message the legacy evaluator used.
+// compileLabelReplace compiles a label_replace pattern anchored to the
+// whole label value.
 func compileLabelReplace(pattern string) (*regexp.Regexp, error) {
 	re, err := regexp.Compile("^(?:" + pattern + ")$")
 	if err != nil {
@@ -405,4 +405,247 @@ func applyBinary(al *alloc, n *BinaryExpr, lv, rv Value, ts int64) (Value, error
 		}
 	}
 	return nil, fmt.Errorf("promql: unsupported operand types for %s", n.Op)
+}
+
+// dropName removes __name__, as Prometheus does for any operation that
+// changes the meaning of a series' values.
+func dropName(ls tsdb.Labels) tsdb.Labels { return ls.Without(tsdb.MetricNameLabel) }
+
+func parseLE(s string) (float64, error) {
+	if s == "+Inf" || s == "inf" || s == "Inf" {
+		return math.Inf(1), nil
+	}
+	var v float64
+	_, err := fmt.Sscanf(s, "%g", &v)
+	return v, err
+}
+
+// bucket is one cumulative histogram bucket (le upper bound, count).
+type bucket struct {
+	le    float64
+	count float64
+}
+
+// bucketQuantile interpolates the φ-quantile from cumulative buckets.
+func bucketQuantile(phi float64, bs []bucket) float64 {
+	if len(bs) < 2 || math.IsInf(bs[len(bs)-1].le, -1) {
+		return math.NaN()
+	}
+	if !math.IsInf(bs[len(bs)-1].le, 1) {
+		return math.NaN()
+	}
+	total := bs[len(bs)-1].count
+	if total == 0 {
+		return math.NaN()
+	}
+	rank := phi * total
+	i := 0
+	for i < len(bs)-1 && bs[i].count < rank {
+		i++
+	}
+	if i == 0 {
+		upper := bs[0].le
+		if upper <= 0 {
+			return upper
+		}
+		return upper * rank / bs[0].count
+	}
+	if i == len(bs)-1 {
+		return bs[len(bs)-2].le
+	}
+	lowerBound, upperBound := bs[i-1].le, bs[i].le
+	lowerCount, upperCount := bs[i-1].count, bs[i].count
+	if upperCount == lowerCount {
+		return upperBound
+	}
+	return lowerBound + (upperBound-lowerBound)*(rank-lowerCount)/(upperCount-lowerCount)
+}
+
+// binArith applies op to two floats. keep reports whether a comparison
+// (without bool) keeps the sample.
+func binArith(op BinOp, l, r float64, returnBool bool) (float64, bool) {
+	switch op {
+	case OpAdd:
+		return l + r, true
+	case OpSub:
+		return l - r, true
+	case OpMul:
+		return l * r, true
+	case OpDiv:
+		return l / r, true
+	case OpMod:
+		return math.Mod(l, r), true
+	case OpPow:
+		return math.Pow(l, r), true
+	}
+	var truth bool
+	switch op {
+	case OpEql:
+		truth = l == r
+	case OpNeq:
+		truth = l != r
+	case OpGtr:
+		truth = l > r
+	case OpLss:
+		truth = l < r
+	case OpGte:
+		truth = l >= r
+	case OpLte:
+		truth = l <= r
+	}
+	if returnBool {
+		if truth {
+			return 1, true
+		}
+		return 0, true
+	}
+	return l, truth
+}
+
+// vectorScalarOp applies op between each vector sample and a scalar.
+// swapped indicates the scalar was the left operand.
+func vectorScalarOp(al *alloc, n *BinaryExpr, vec Vector, scalar float64, swapped bool, ts int64) Vector {
+	out := al.vec(len(vec))
+	for _, s := range vec {
+		l, r := s.V, scalar
+		if swapped {
+			l, r = r, l
+		}
+		v, keep := binArith(n.Op, l, r, n.ReturnBool)
+		if n.Op.isComparison() && !n.ReturnBool {
+			if !keep {
+				continue
+			}
+			v = s.V
+		}
+		out = append(out, VSample{Labels: al.dropName(s.Labels), T: ts, V: v})
+	}
+	return out
+}
+
+// matchKey computes the join identity of a label set under the matching
+// clause.
+func matchKey(ls tsdb.Labels, m *VectorMatching) string {
+	base := ls.Without(tsdb.MetricNameLabel)
+	if m == nil {
+		return base.Key()
+	}
+	if m.On {
+		return base.Keep(m.MatchingLabels...).Key()
+	}
+	return base.Without(m.MatchingLabels...).Key()
+}
+
+// evalVectorVector performs vector matching: one-to-one by default,
+// many-to-one with group_left, one-to-many with group_right.
+func evalVectorVector(al *alloc, n *BinaryExpr, l, r Vector, ts int64) (Value, error) {
+	card := CardOneToOne
+	if n.Matching != nil {
+		card = n.Matching.Card
+	}
+	// Normalise group_right to group_left by swapping operands (and the
+	// operator's argument order).
+	swapped := false
+	if card == CardOneToMany {
+		l, r = r, l
+		swapped = true
+	}
+	rightBy := make(map[string]VSample, len(r))
+	for _, s := range r {
+		key := matchKey(s.Labels, n.Matching)
+		if prev, dup := rightBy[key]; dup {
+			side := "right"
+			if swapped {
+				side = "left"
+			}
+			return nil, fmt.Errorf("promql: many-to-many matching: %s side has duplicate match group (%s and %s)", side, prev.Labels, s.Labels)
+		}
+		rightBy[key] = s
+	}
+	seenLeft := make(map[string]bool, len(l))
+	out := al.vec(len(l))
+	for _, s := range l {
+		key := matchKey(s.Labels, n.Matching)
+		rs, ok := rightBy[key]
+		if !ok {
+			continue
+		}
+		if card == CardOneToOne {
+			if seenLeft[key] {
+				return nil, fmt.Errorf("promql: many-to-one matching requires group_left (duplicate left group %s)", s.Labels)
+			}
+			seenLeft[key] = true
+		}
+		lv, rv := s.V, rs.V
+		if swapped {
+			lv, rv = rv, lv
+		}
+		v, keep := binArith(n.Op, lv, rv, n.ReturnBool)
+		if n.Op.isComparison() && !n.ReturnBool {
+			if !keep {
+				continue
+			}
+			v = lv
+		}
+		ls := al.dropName(s.Labels)
+		if n.Matching != nil && n.Matching.On && card == CardOneToOne {
+			ls = ls.Keep(n.Matching.MatchingLabels...)
+		}
+		// group modifiers copy the requested labels from the "one" side.
+		if card != CardOneToOne && n.Matching != nil {
+			for _, name := range n.Matching.Include {
+				if v := rs.Labels.Get(name); v != "" {
+					ls = ls.With(name, v)
+				}
+			}
+		}
+		out = append(out, VSample{Labels: ls, T: ts, V: v})
+	}
+	al.sortVec(out)
+	return out, nil
+}
+
+// evalSetOp implements and / or / unless.
+func evalSetOp(al *alloc, n *BinaryExpr, l, r Vector) Vector {
+	keyOf := func(ls tsdb.Labels) string { return matchKey(ls, n.Matching) }
+	switch n.Op {
+	case OpAnd:
+		rset := make(map[string]bool, len(r))
+		for _, s := range r {
+			rset[keyOf(s.Labels)] = true
+		}
+		out := al.vec(len(l))
+		for _, s := range l {
+			if rset[keyOf(s.Labels)] {
+				out = append(out, s)
+			}
+		}
+		return out
+	case OpUnless:
+		rset := make(map[string]bool, len(r))
+		for _, s := range r {
+			rset[keyOf(s.Labels)] = true
+		}
+		out := al.vec(len(l))
+		for _, s := range l {
+			if !rset[keyOf(s.Labels)] {
+				out = append(out, s)
+			}
+		}
+		return out
+	case OpOr:
+		lset := make(map[string]bool, len(l))
+		out := append(al.vec(len(l)+len(r)), l...)
+		for _, s := range l {
+			lset[s.Labels.Key()] = true
+		}
+		for _, s := range r {
+			if !lset[s.Labels.Key()] {
+				out = append(out, s)
+			}
+		}
+		al.sortVec(out)
+		return out
+	}
+	return nil
 }

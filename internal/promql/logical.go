@@ -355,9 +355,9 @@ func (b *planBuilder) build(e Expr) (logNode, error) {
 			args[i] = la
 		}
 		c := &lCall{ast: n, args: args, matrixArg: -1}
-		// Mirror unwrapMatrixArg exactly (single paren unwrap on the AST):
-		// the legacy evaluator treats a doubly parenthesised range vector as
-		// a vector-math argument and errors, and the planner must agree.
+		// Single paren unwrap on the AST: a doubly parenthesised range
+		// vector is a vector-math argument and errors, as in the
+		// reference evaluator.
 		if !isSpecialCall(n.Func.Name) {
 			for i, a := range n.Args {
 				if p, ok := a.(*ParenExpr); ok {

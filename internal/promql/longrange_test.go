@@ -3,7 +3,6 @@ package promql
 import (
 	"context"
 	"fmt"
-	"os"
 	"testing"
 	"time"
 
@@ -43,26 +42,16 @@ var longRangeCorpus = []string{
 
 // TestLongRangeGoldenCorpus: the long-range corpus over the full 3-day
 // window (433 half-hour steps — several default batches deep) must render
-// byte-identically across the batched executor at default and small batch
-// sizes, the legacy select-once path, and the stepwise oracle, at 1 and 4
-// shards.
+// byte-identically to the reference at the default and a small batch
+// size, at 1 and 4 shards.
 func TestLongRangeGoldenCorpus(t *testing.T) {
 	base, end := longRangeDB(t)
 	start := end.Add(-72 * time.Hour)
 	step := 30 * time.Minute
 
 	def := DefaultEngineOptions()
-	def.LegacyEval = false
-	def.StepwiseRange = false
-
 	small := def
 	small.BatchSize = 7
-
-	legacy := def
-	legacy.LegacyEval = true
-
-	stepwise := def
-	stepwise.StepwiseRange = true
 
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -73,22 +62,16 @@ func TestLongRangeGoldenCorpus(t *testing.T) {
 			engines := map[string]*Engine{
 				"batched":     NewEngine(db, def),
 				"small-batch": NewEngine(db, small),
-				"legacy":      NewEngine(db, legacy),
 			}
-			oracle := NewEngine(db, stepwise)
+			ref := newReference(db, def)
 			for _, q := range longRangeCorpus {
-				want, wantErr := oracle.QueryRange(context.Background(), q, start, end, step)
+				want, wantErr := ref.QueryRange(context.Background(), q, start, end, step)
 				if wantErr != nil {
-					t.Fatalf("stepwise %q: %v", q, wantErr)
+					t.Fatalf("reference %q: %v", q, wantErr)
 				}
 				for name, eng := range engines {
 					m, err := eng.QueryRange(context.Background(), q, start, end, step)
-					if err != nil {
-						t.Fatalf("%s %q: %v", name, q, err)
-					}
-					if got := m.String(); got != want.String() {
-						t.Errorf("%s %q: matrices differ from stepwise\ngot:\n%s\nwant:\n%s", name, q, got, want.String())
-					}
+					checkSame(t, name+" "+q, m, err, want, wantErr)
 				}
 			}
 		})
@@ -100,17 +83,12 @@ func TestLongRangeGoldenCorpus(t *testing.T) {
 // with the default batch size must come in well under a whole-range
 // single-batch run, because only one batch of step vectors is ever live.
 func TestLongRangeBoundedIntermediate(t *testing.T) {
-	if os.Getenv("DIO_PROMQL_NOPOOL") != "" {
-		t.Skip("peak intermediate accounting needs arena pooling; forced off via DIO_PROMQL_NOPOOL")
-	}
 	base, end := longRangeDB(t)
 	start := end.Add(-72 * time.Hour)
 	step := 30 * time.Minute
 
 	peak := func(batch int) int64 {
 		opts := DefaultEngineOptions()
-		opts.LegacyEval = false
-		opts.StepwiseRange = false
 		opts.BatchSize = batch
 		opts.ExecWorkers = 1 // partitioning splits the range; single-part isolates batch size
 		eng := NewEngine(base, opts)

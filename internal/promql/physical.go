@@ -10,9 +10,10 @@ package promql
 // passed to exec, so one compiled plan can serve concurrent executions
 // and concurrent partitions of the same execution.
 //
-// Every operator reproduces the legacy evaluator's behaviour exactly —
+// Every operator reproduces the plain tree-walking semantics exactly —
 // same evaluation order, same kernels (kernels.go), same error messages —
-// which is what the planner/legacy differential suite pins.
+// which the differential suites pin against the test-only reference
+// evaluator (reference_test.go).
 
 import (
 	"fmt"
@@ -295,7 +296,7 @@ func (c *compiler) compileCall(x *lCall) (physOp, error) {
 		op := &pLabelReplace{vec: vec, dst: lits[0], repl: lits[1], src: lits[2]}
 		// The pattern compiles once per plan instead of once per step; a
 		// bad pattern is reported at exec time after the input vector
-		// evaluates, exactly where the legacy evaluator reports it.
+		// evaluates, exactly where a tree-walker would report it.
 		op.re, op.reErr = compileLabelReplace(lits[3])
 		return op, nil
 	}
@@ -311,7 +312,7 @@ func (c *compiler) compileCall(x *lCall) (physOp, error) {
 		op := &pRangeFunc{name: name, arg: w}
 		// Scalar parameters (quantile_over_time's φ, predict_linear's
 		// horizon): the first scalar-typed argument, evaluated after the
-		// range argument like the legacy evaluator does.
+		// range argument, as a tree-walker does.
 		for i, astArg := range x.ast.Args {
 			if astArg.Type() == ValueScalar {
 				op.scalarArg, err = arg(i)
@@ -459,8 +460,7 @@ func (o *pMatrix) exec(p *part, ts int64) (Value, error) {
 }
 
 // pSubquery evaluates its child at every inner step of the window
-// (start, end], accumulating a matrix in first-seen series order (the
-// same order the legacy evaluator produces).
+// (start, end], accumulating a matrix in first-seen series order.
 type pSubquery struct {
 	opMeta
 	child  physOp
@@ -766,8 +766,8 @@ func (o *pBinary) exec(p *part, ts int64) (Value, error) {
 			rv, rerr = p.eval(o.rhs, ts)
 		}
 	}
-	// The left error wins, matching the legacy evaluator's sequential
-	// order (it never reached the right side).
+	// The left error wins, matching sequential evaluation order (which
+	// never reaches the right side).
 	if lerr != nil {
 		return nil, lerr
 	}

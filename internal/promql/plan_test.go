@@ -180,19 +180,11 @@ func TestPlanCache(t *testing.T) {
 	}
 }
 
-// TestPlannerDefaultRouting: with default options the planner handles both
-// instant and range queries; forcing LegacyEval or StepwiseRange routes away
-// from it. The planner is observable via the plan cache filling up.
+// TestPlannerDefaultRouting: queries evaluate through the planner, which
+// is observable via the plan cache filling up.
 func TestPlannerDefaultRouting(t *testing.T) {
 	db, end := testDB(t)
-
-	opts := DefaultEngineOptions()
-	opts.LegacyEval = false
-	opts.StepwiseRange = false
-	eng := NewEngine(db, opts)
-	if !eng.usePlanner() {
-		t.Fatal("default options must route to the planner")
-	}
+	eng := NewEngine(db, DefaultEngineOptions())
 	if _, err := eng.Query(context.Background(), "sum(smf_pdu_session_active)", end); err != nil {
 		t.Fatal(err)
 	}
@@ -201,16 +193,6 @@ func TestPlannerDefaultRouting(t *testing.T) {
 	eng.planMu.Unlock()
 	if cached != 1 {
 		t.Errorf("plan cache entries = %d, want 1 after a planner query", cached)
-	}
-
-	opts.LegacyEval = true
-	if NewEngine(db, opts).usePlanner() {
-		t.Error("LegacyEval must disable the planner")
-	}
-	opts.LegacyEval = false
-	opts.StepwiseRange = true
-	if NewEngine(db, opts).usePlanner() {
-		t.Error("StepwiseRange must disable the planner")
 	}
 }
 

@@ -29,11 +29,10 @@ package promql
 // released — label pointers must not leak across queries, where a
 // recycled slice address could alias a different series.
 //
-// DIO_PROMQL_NOPOOL=1 (or EngineOptions.DisablePooling) turns the whole
-// layer off: parts carry a nil alloc and every method falls back to plain
-// heap allocation, byte-identical to the pre-batching executor. The
-// poison mode scribbles sentinel values over recycled containers so the
-// golden corpus catches any use-after-reset aliasing.
+// Every alloc method also accepts a nil *alloc and falls back to plain
+// heap allocation (instant parts and the test-only reference evaluator
+// run that way). The poison mode scribbles sentinel values over recycled
+// containers so the golden corpus catches any use-after-reset aliasing.
 
 import (
 	"math"
@@ -156,8 +155,8 @@ func (sc *aggScratch) addGroup(gl tsdb.Labels) int {
 }
 
 // alloc is the per-partition arena allocator plus derivation caches. A nil
-// *alloc is valid everywhere and means "heap, uncached" — the legacy
-// evaluator, instant parts and pooling-disabled engines all run with nil.
+// *alloc is valid everywhere and means "heap, uncached" — instant parts
+// and the reference evaluator run with nil.
 type alloc struct {
 	// shared is the execution's stored-series fingerprint cache
 	// (execState.keys) — read-only during evaluation, safe to share

@@ -3,7 +3,6 @@ package promql
 import (
 	"context"
 	"fmt"
-	"os"
 	"testing"
 	"time"
 
@@ -21,69 +20,33 @@ func TestPoolPoisonEquivalence(t *testing.T) {
 	defer poisonPools.Store(false)
 
 	db, end := testDB(t)
-	engines := equivalenceEngines(db)
+	eng := NewEngine(db, DefaultEngineOptions())
+	ref := newReference(db, DefaultEngineOptions())
 
 	start := end.Add(-20 * time.Minute)
 	for _, q := range rangeCorpus {
-		ref, refErr := engines["legacy"].QueryRange(context.Background(), q, start, end, time.Minute)
-		m, err := engines["planner"].QueryRange(context.Background(), q, start, end, time.Minute)
-		if (err == nil) != (refErr == nil) {
-			t.Fatalf("%q: error mismatch under poison: planner=%v legacy=%v", q, err, refErr)
-		}
-		if err != nil {
-			if err.Error() != refErr.Error() {
-				t.Errorf("%q: error text differs under poison\nplanner: %v\nlegacy:  %v", q, err, refErr)
-			}
-			continue
-		}
-		if got, want := m.String(), ref.String(); got != want {
-			t.Errorf("%q: matrices differ under poison\nplanner:\n%s\nlegacy:\n%s", q, got, want)
-		}
+		m, err := eng.QueryRange(context.Background(), q, start, end, time.Minute)
+		want, wantErr := ref.QueryRange(context.Background(), q, start, end, time.Minute)
+		checkSame(t, "poisoned "+q, m, err, want, wantErr)
 	}
 }
 
 // TestBatchSizeEquivalence pins that batch size is invisible in results:
-// pooling disabled, single-step batches, a tiny odd batch, and a single
-// whole-range batch (BatchSize < 0) must all render byte-identically to
-// the legacy path over the full corpus.
+// single-step batches, a tiny odd batch, and a single whole-range batch
+// (BatchSize < 0) must all render byte-identically to the reference over
+// the full corpus.
 func TestBatchSizeEquivalence(t *testing.T) {
 	db, end := testDB(t)
-
-	base := DefaultEngineOptions()
-	base.LegacyEval = false
-	base.StepwiseRange = false
-
-	legacyOpts := base
-	legacyOpts.LegacyEval = true
-	ref := NewEngine(db, legacyOpts)
-
-	variants := map[string]*Engine{}
-	for _, bs := range []int{1, 3, -1} {
-		opts := base
-		opts.BatchSize = bs
-		variants[fmt.Sprintf("batch=%d", bs)] = NewEngine(db, opts)
-	}
-	nopool := base
-	nopool.DisablePooling = true
-	variants["nopool"] = NewEngine(db, nopool)
-
+	ref := newReference(db, DefaultEngineOptions())
 	start := end.Add(-20 * time.Minute)
-	for _, q := range rangeCorpus {
-		want, refErr := ref.QueryRange(context.Background(), q, start, end, time.Minute)
-		for name, eng := range variants {
+	for _, bs := range []int{1, 3, -1} {
+		opts := DefaultEngineOptions()
+		opts.BatchSize = bs
+		eng := NewEngine(db, opts)
+		for _, q := range rangeCorpus {
 			m, err := eng.QueryRange(context.Background(), q, start, end, time.Minute)
-			if (err == nil) != (refErr == nil) {
-				t.Fatalf("%s %q: error mismatch: %v vs legacy %v", name, q, err, refErr)
-			}
-			if err != nil {
-				if err.Error() != refErr.Error() {
-					t.Errorf("%s %q: error text differs\n%s\nlegacy: %v", name, q, err, refErr)
-				}
-				continue
-			}
-			if got := m.String(); got != want.String() {
-				t.Errorf("%s %q: matrices differ\ngot:\n%s\nlegacy:\n%s", name, q, got, want.String())
-			}
+			want, wantErr := ref.QueryRange(context.Background(), q, start, end, time.Minute)
+			checkSame(t, fmt.Sprintf("batch=%d %s", bs, q), m, err, want, wantErr)
 		}
 	}
 }
@@ -126,15 +89,10 @@ func TestStreamingAllocCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation ceilings do not hold under the race detector")
 	}
-	if os.Getenv("DIO_PROMQL_NOPOOL") != "" {
-		t.Skip("arena pooling forced off via DIO_PROMQL_NOPOOL")
-	}
 	base, end := unshardedTestDB(t)
 	start := end.Add(-20 * time.Minute)
 
 	opts := DefaultEngineOptions()
-	opts.LegacyEval = false
-	opts.StepwiseRange = false
 	opts.ExecWorkers = 1 // partitioning adds per-part arenas; pin one for a stable count
 
 	eng := NewEngine(base, opts)

@@ -18,6 +18,7 @@ import (
 //	  by 2/s (a) and 4/s (b), sampled every 15s for 30 minutes.
 //	smf_pdu_session_active{instance in {a,b}}: gauges 100 and 200.
 //	http_request_duration_seconds_bucket: a classic histogram.
+//
 // When DIO_TSDB_SHARDS is set above 1 the fixture is resharded, so the
 // whole suite exercises the distributed executor against the same data.
 func testDB(t testing.TB) (tsdb.Storage, time.Time) {
@@ -64,14 +65,18 @@ func mustAppend(t testing.TB, db tsdb.Storage, labels map[string]string, ts int6
 	}
 }
 
-// evalQuery evaluates q at ts and fails the test on error.
+// evalQuery evaluates q at ts through the engine and fails the test on
+// error. The reference evaluator runs the same query and must agree, so
+// every expected-value assertion on the result checks both: a wrong
+// reference fails here instead of silently agreeing with a wrong planner.
 func evalQuery(t *testing.T, db tsdb.Storage, q string, ts time.Time) Value {
 	t.Helper()
-	eng := NewEngine(db, DefaultEngineOptions())
-	v, err := eng.Query(context.Background(), q, ts)
+	v, err := NewEngine(db, DefaultEngineOptions()).Query(context.Background(), q, ts)
 	if err != nil {
 		t.Fatalf("query %q: %v", q, err)
 	}
+	want, wantErr := newReference(db, DefaultEngineOptions()).Query(context.Background(), q, ts)
+	checkSame(t, q, v, err, want, wantErr)
 	return v
 }
 
@@ -475,10 +480,15 @@ func TestQueryRange(t *testing.T) {
 
 func TestMaxSamplesLimit(t *testing.T) {
 	db, end := testDB(t)
-	eng := NewEngine(db, EngineOptions{LookbackDelta: 5 * time.Minute, MaxSamples: 3})
-	_, err := eng.Query(context.Background(), `sum(rate(amfcc_n1_auth_request[5m]))`, end)
-	if err == nil || !strings.Contains(err.Error(), "too many samples") {
-		t.Fatalf("expected sample-limit error, got %v", err)
+	opts := EngineOptions{LookbackDelta: 5 * time.Minute, MaxSamples: 3}
+	const q = `sum(rate(amfcc_n1_auth_request[5m]))`
+	for name, eval := range map[string]func(context.Context, string, time.Time) (Value, error){
+		"engine":    NewEngine(db, opts).Query,
+		"reference": newReference(db, opts).Query,
+	} {
+		if _, err := eval(context.Background(), q, end); err == nil || !strings.Contains(err.Error(), "too many samples") {
+			t.Fatalf("%s: expected sample-limit error, got %v", name, err)
+		}
 	}
 }
 

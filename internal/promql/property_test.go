@@ -108,58 +108,29 @@ func TestRandomExpressionsEvaluateDeterministically(t *testing.T) {
 	}
 }
 
-// TestDifferentialPlannerLegacyStepwise: every generated expression must
-// render byte-identically under the plan-based executor, the legacy
-// tree-walker, and the stepwise range path — instant at the fixture end
-// plus four range windows. This is the planner's primary differential
-// oracle: any optimizer pass or operator that drifts from the legacy
-// semantics fails here first.
-func TestDifferentialPlannerLegacyStepwise(t *testing.T) {
+// TestDifferentialPlannerReference: every generated expression must
+// render byte-identically under the engine and the reference evaluator —
+// instant at the fixture end plus every corpus window shape. This is the
+// planner's primary differential oracle: any optimizer pass or operator
+// that drifts from the tree-walking semantics fails here first.
+func TestDifferentialPlannerReference(t *testing.T) {
 	db, end := testDB(t)
-	engines := equivalenceEngines(db)
+	eng := NewEngine(db, DefaultEngineOptions())
+	ref := newReference(db, DefaultEngineOptions())
 	rng := rand.New(rand.NewSource(4242))
 	ctx := context.Background()
-
-	windows := []struct {
-		name       string
-		start, end time.Time
-		step       time.Duration
-	}{
-		{"mid", end.Add(-20 * time.Minute), end, time.Minute},
-		{"pre-data", end.Add(-40 * time.Minute), end.Add(-25 * time.Minute), 30 * time.Second},
-		{"past-end", end.Add(-5 * time.Minute), end.Add(10 * time.Minute), 2 * time.Minute},
-		{"single-step", end, end, time.Minute},
-	}
-
 	for i := 0; i < 150; i++ {
 		src := genExpr(rng, 3)
-
-		// Instant: planner vs legacy (the stepwise flag only affects ranges).
-		iv, ierr := engines["legacy"].Query(ctx, src, end)
-		pv, perr := engines["planner"].Query(ctx, src, end)
-		if (ierr == nil) != (perr == nil) {
-			t.Fatalf("instant %q: error mismatch: planner=%v legacy=%v", src, perr, ierr)
+		v, err := eng.Query(ctx, src, end)
+		want, wantErr := ref.Query(ctx, src, end)
+		checkSame(t, "instant "+src, v, err, want, wantErr)
+		for _, w := range rangeWindows(end) {
+			m, err := eng.QueryRange(ctx, src, w.start, w.end, w.step)
+			want, wantErr := ref.QueryRange(ctx, src, w.start, w.end, w.step)
+			checkSame(t, w.name+" "+src, m, err, want, wantErr)
 		}
-		if ierr == nil {
-			if got, want := FormatValue(pv), FormatValue(iv); got != want {
-				t.Fatalf("instant %q: results differ\nplanner:\n%s\nlegacy:\n%s", src, got, want)
-			}
-		}
-
-		for _, w := range windows {
-			ref, refErr := engines["stepwise"].QueryRange(ctx, src, w.start, w.end, w.step)
-			for _, name := range []string{"planner", "legacy"} {
-				m, err := engines[name].QueryRange(ctx, src, w.start, w.end, w.step)
-				if (err == nil) != (refErr == nil) {
-					t.Fatalf("%s %q: error mismatch: %s=%v stepwise=%v", w.name, src, name, err, refErr)
-				}
-				if refErr != nil {
-					continue
-				}
-				if got, want := m.String(), ref.String(); got != want {
-					t.Fatalf("%s %q: matrices differ\n%s:\n%s\nstepwise:\n%s", w.name, src, name, got, want)
-				}
-			}
+		if t.Failed() {
+			t.FailNow()
 		}
 	}
 }

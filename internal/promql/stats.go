@@ -242,8 +242,8 @@ func (c *StatsCapture) set(qs *QueryStats) {
 	c.mu.Unlock()
 }
 
-// Stats returns the captured profile, or nil when no plan-based execution
-// deposited one (legacy evaluator, stats disabled, or failed evaluation).
+// Stats returns the captured profile, or nil when no evaluation deposited
+// one (none ran, or it failed).
 func (c *StatsCapture) Stats() *QueryStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -253,11 +253,8 @@ func (c *StatsCapture) Stats() *QueryStats {
 // --- building ------------------------------------------------------------
 
 // buildStats folds the execution's slots into the QueryStats tree. Called
-// once, after every partition has joined; nil when collection was off.
+// once, after every partition has joined.
 func (st *execState) buildStats(query, kind string, start time.Time, samples int64, steps int, cacheHit bool) *QueryStats {
-	if st.opStats == nil {
-		return nil
-	}
 	qs := &QueryStats{
 		Query:        query,
 		Kind:         kind,

@@ -12,80 +12,35 @@ import (
 	"dio/internal/tsdb"
 )
 
-// statsEngines returns a stats-off engine and a stats-on engine over the
-// same store. The stats-on engine also feeds a finished-query hook, so
-// collection runs through the full production path (slot allocation,
-// atomic accumulation, buildStats, Compact) on every query.
-func statsEngines(db tsdb.Storage) (off, on *Engine) {
-	opts := DefaultEngineOptions()
-	opts.LegacyEval = false
-	opts.StepwiseRange = false
-
-	offOpts := opts
-	offOpts.DisableQueryStats = true
-	off = NewEngine(db, offOpts)
-
-	onOpts := opts
-	onOpts.DisableQueryStats = false
-	on = NewEngine(db, onOpts)
-	on.SetHooks(Hooks{OnQueryDone: func(obs.QueryLogEntry) {}})
-	return off, on
-}
-
 // TestQueryStatsByteIdentity is the inertness oracle: per-operator stats
-// collection must be invisible in results. Every corpus query, over every
-// window shape, must render byte-identically with stats on and off — on
-// the single-DB store and again at 4 shards, where collection also runs
-// inside the distribute fan-out goroutines.
+// collection (always on, here also feeding a finished-query hook so the
+// full production path — slot allocation, atomic accumulation,
+// buildStats, Compact — runs on every query) must be invisible in
+// results. Every corpus query, over every window shape, must render
+// byte-identically to the reference — on the single-DB store and again at
+// 4 shards, where collection also runs inside the distribute fan-out
+// goroutines.
 func TestQueryStatsByteIdentity(t *testing.T) {
 	base, end := unshardedTestDB(t)
-	windows := []struct {
-		name       string
-		start, end time.Time
-		step       time.Duration
-	}{
-		{"mid", end.Add(-20 * time.Minute), end, time.Minute},
-		{"pre-data", end.Add(-40 * time.Minute), end.Add(-25 * time.Minute), 30 * time.Second},
-		{"past-end", end.Add(-5 * time.Minute), end.Add(10 * time.Minute), 2 * time.Minute},
-		{"single-step", end, end, time.Minute},
-	}
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			var db tsdb.Storage = base
 			if shards > 1 {
 				db = tsdb.Reshard(base, shards)
 			}
-			off, on := statsEngines(db)
-			for _, w := range windows {
+			eng := NewEngine(db, DefaultEngineOptions())
+			eng.SetHooks(Hooks{OnQueryDone: func(obs.QueryLogEntry) {}})
+			ref := newReference(db, DefaultEngineOptions())
+			ctx := context.Background()
+			for _, w := range rangeWindows(end) {
 				for _, q := range rangeCorpus {
-					want, wantErr := off.QueryRange(context.Background(), q, w.start, w.end, w.step)
-					got, gotErr := on.QueryRange(context.Background(), q, w.start, w.end, w.step)
-					if (gotErr == nil) != (wantErr == nil) {
-						t.Fatalf("%s %q: error mismatch: stats-on=%v stats-off=%v", w.name, q, gotErr, wantErr)
-					}
-					if gotErr != nil {
-						if gotErr.Error() != wantErr.Error() {
-							t.Errorf("%s %q: error text differs\nstats-on:  %v\nstats-off: %v", w.name, q, gotErr, wantErr)
-						}
-						continue
-					}
-					if g, r := got.String(), want.String(); g != r {
-						t.Errorf("%s %q: matrices differ with stats on\nstats-on:\n%s\nstats-off:\n%s", w.name, q, g, r)
-					}
-				}
-				// Instant evaluation at the window end must agree too.
-				for _, q := range rangeCorpus {
-					want, wantErr := off.Query(context.Background(), q, w.end)
-					got, gotErr := on.Query(context.Background(), q, w.end)
-					if (gotErr == nil) != (wantErr == nil) {
-						t.Fatalf("instant %q: error mismatch: stats-on=%v stats-off=%v", q, gotErr, wantErr)
-					}
-					if gotErr != nil {
-						continue
-					}
-					if g, r := got.String(), want.String(); g != r {
-						t.Errorf("instant %q: results differ with stats on\nstats-on:\n%s\nstats-off:\n%s", q, g, r)
-					}
+					m, err := eng.QueryRange(ctx, q, w.start, w.end, w.step)
+					want, wantErr := ref.QueryRange(ctx, q, w.start, w.end, w.step)
+					checkSame(t, w.name+" "+q, m, err, want, wantErr)
+					// Instant evaluation at the window end must agree too.
+					v, err := eng.Query(ctx, q, w.end)
+					wantV, wantErr := ref.Query(ctx, q, w.end)
+					checkSame(t, "instant "+q, v, err, wantV, wantErr)
 				}
 			}
 		})
@@ -101,9 +56,6 @@ func TestWithQueryStatsCapture(t *testing.T) {
 	// distribute node (covered by TestQueryStatsShardWall).
 	db, end := unshardedTestDB(t)
 	opts := DefaultEngineOptions()
-	opts.LegacyEval = false
-	opts.StepwiseRange = false
-	opts.DisableQueryStats = false
 	eng := NewEngine(db, opts)
 
 	const q = "sum by (instance) (rate(amfcc_n1_auth_request[5m]))"
@@ -173,9 +125,6 @@ func TestWithQueryStatsCapture(t *testing.T) {
 func TestQueryStatsShardWall(t *testing.T) {
 	base, end := unshardedTestDB(t)
 	opts := DefaultEngineOptions()
-	opts.LegacyEval = false
-	opts.StepwiseRange = false
-	opts.DisableQueryStats = false
 	eng := NewEngine(tsdb.Reshard(base, 4), opts)
 
 	ctx, cap := WithQueryStats(context.Background())
@@ -213,9 +162,6 @@ func TestQueryStatsShardWall(t *testing.T) {
 func TestExplainAnalyze(t *testing.T) {
 	db, end := testDB(t)
 	opts := DefaultEngineOptions()
-	opts.LegacyEval = false
-	opts.StepwiseRange = false
-	opts.DisableQueryStats = false
 	eng := NewEngine(db, opts)
 
 	const q = "sum by (instance) (rate(amfcc_n1_auth_request[5m]))"
@@ -261,32 +207,6 @@ func TestExplainAnalyze(t *testing.T) {
 	}
 }
 
-// TestExplainAnalyzeDisabledPaths: with stats off, or on the legacy
-// evaluator, ExplainAnalyze must fail with the no-statistics error rather
-// than render an empty tree.
-func TestExplainAnalyzeDisabledPaths(t *testing.T) {
-	db, end := testDB(t)
-	base := DefaultEngineOptions()
-	base.LegacyEval = false
-	base.StepwiseRange = false
-
-	disabled := base
-	disabled.DisableQueryStats = true
-	legacy := base
-	legacy.LegacyEval = true
-
-	for name, opts := range map[string]EngineOptions{"stats-off": disabled, "legacy": legacy} {
-		eng := NewEngine(db, opts)
-		_, err := eng.ExplainAnalyze(context.Background(), "smf_pdu_session_active", end)
-		if err == nil || !strings.Contains(err.Error(), "no execution statistics collected") {
-			t.Errorf("%s: ExplainAnalyze error = %v, want the no-statistics error", name, err)
-		}
-		if name == "stats-off" && eng.StatsEnabled() {
-			t.Error("StatsEnabled() = true with DisableQueryStats set")
-		}
-	}
-}
-
 // TestQueryHooks: OnQueryStart must fire with the canonical query text and
 // kind and have its release called on finish; OnQueryDone must receive an
 // entry carrying the measured totals and the compact analyzed plan, on
@@ -294,9 +214,6 @@ func TestExplainAnalyzeDisabledPaths(t *testing.T) {
 func TestQueryHooks(t *testing.T) {
 	db, end := testDB(t)
 	opts := DefaultEngineOptions()
-	opts.LegacyEval = false
-	opts.StepwiseRange = false
-	opts.DisableQueryStats = false
 	eng := NewEngine(db, opts)
 
 	var started, released atomic.Int64

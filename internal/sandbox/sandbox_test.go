@@ -204,16 +204,6 @@ func TestAuditRecordsPlan(t *testing.T) {
 	if len(entries) != 3 {
 		t.Fatalf("entries = %d", len(entries))
 	}
-	if !ex.Engine().PlannerEnabled() {
-		// Legacy oracle forced (DIO_PROMQL_LEGACY CI leg): no plan runs,
-		// so the audit log must not claim one did.
-		for i, e := range entries {
-			if e.Plan != "" {
-				t.Errorf("entry %d carries plan %q with the planner off", i, e.Plan)
-			}
-		}
-		return
-	}
 	if want := "sum(rate(window[5m](scan#0)))"; !strings.Contains(entries[0].Plan, want) {
 		t.Errorf("executed entry plan = %q, want it to contain %q", entries[0].Plan, want)
 	}

@@ -13,24 +13,16 @@ go test -race ./...
 echo ">> go test ./... with DIO_TSDB_SHARDS=4 (distributed executor leg)"
 DIO_TSDB_SHARDS=4 go test ./internal/promql/ ./internal/tsdb/ ./internal/ingest/
 
-echo ">> go test ./internal/promql/ with DIO_PROMQL_NOPOOL=1 (arena pooling off leg)"
-DIO_PROMQL_NOPOOL=1 go test ./internal/promql/
-
 echo ">> tenant-aware suites with DIO_REPLICAS=4 (multi-tenant serving leg)"
 DIO_REPLICAS=4 go test ./internal/servecache/ ./internal/httpapi/ ./internal/router/ ./internal/tenant/
 
 # Opt-in: substrate micro-benchmarks with allocation reporting, plus the
-# perf gates — the plan-based executor must hold >= 1.5x over the legacy
-# evaluator on the dashboard query mix, and the durable ingest path must
-# sustain its remote-write floor while acknowledged samples survive a
-# crash (VERIFY_BENCH=1 make verify).
+# perf gates — the durable ingest path must sustain its remote-write floor
+# while acknowledged samples survive a crash, and batched range execution
+# must keep long-range memory bounded (VERIFY_BENCH=1 make verify).
 if [ "${VERIFY_BENCH:-0}" = "1" ]; then
 	echo ">> make bench (VERIFY_BENCH=1)"
 	make bench
-	echo ">> dio-bench engine gate (VERIFY_BENCH=1)"
-	go run ./cmd/dio-bench -experiment engine -short
-	echo ">> dio-bench querystats gate (VERIFY_BENCH=1)"
-	go run ./cmd/dio-bench -experiment querystats -short
 	echo ">> dio-bench ingest gate (VERIFY_BENCH=1)"
 	go run ./cmd/dio-bench -experiment ingest -short
 	echo ">> dio-bench shard scaling curve (VERIFY_BENCH=1)"
