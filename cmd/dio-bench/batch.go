@@ -173,7 +173,7 @@ func (e *env1) writeBatchJSON(steps int, step time.Duration, results map[string]
 		},
 		"summary": map[string]any{
 			"bounded_memory": "batched peak intermediate bytes flat from 1d to 7d windows; whole-range peak scales with range length",
-			"byte_identity":  "batched output byte-identical to the reference evaluator (golden corpus incl. multi-day queries, fuzz differential, 1-8 shard matrix, poisoned pools)",
+			"byte_identity":  "batched output byte-identical to the reference evaluator (golden corpus incl. multi-day queries, fuzz differential, poisoned pools)",
 			"acceptance":     "PASS: batched peak intermediate bytes flat from 1d to 7d",
 		},
 	}

@@ -17,9 +17,6 @@
 //	dio-bench -experiment ingest    durable ingest: remote-write over HTTP
 //	                                into the WAL-backed store, concurrent
 //	                                with the dashboard query mix
-//	dio-bench -experiment shard     sharded TSDB scaling curve: the
-//	                                shardable query mix plus streaming
-//	                                writers at 1/2/4/8 shards
 //	dio-bench -experiment batch     streaming vectorized execution: the
 //	                                dashboard mix (allocs/op), and peak
 //	                                intermediate bytes on multi-day ranges
@@ -70,7 +67,7 @@ func fatal(msg string, err error) {
 }
 
 func main() {
-	experiment := flag.String("experiment", "all", "which experiment to run: fig1, table3a, table3b, cost, setup, ablations, engine, trace, throughput, ingest, shard, batch, multitenant, all")
+	experiment := flag.String("experiment", "all", "which experiment to run: fig1, table3a, table3b, cost, setup, ablations, engine, trace, throughput, ingest, batch, multitenant, all")
 	size := flag.Int("questions", benchmark.DefaultSize, "benchmark size")
 	seed := flag.Int64("seed", 7, "benchmark generation seed")
 	verbose := flag.Bool("v", false, "print per-task breakdowns")
@@ -108,7 +105,6 @@ func main() {
 	run("trace", (*env1).trace)
 	run("throughput", (*env1).throughput)
 	run("ingest", (*env1).ingest)
-	run("shard", (*env1).shard)
 	run("batch", (*env1).batch)
 	run("multitenant", (*env1).multitenant)
 }

@@ -32,7 +32,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -69,7 +68,7 @@ func main() {
 	cacheTTL := flag.Duration("cache-ttl", 30*time.Second, "answer freshness window: cached answers expire once the TSDB head advances past this bucket")
 	maxInflight := flag.Int("max-inflight", 64, "concurrent answer computations admitted (0 disables the gate)")
 	queueWait := flag.Duration("queue-wait", 2*time.Second, "longest a request waits for an admission slot before 429")
-	replicas := flag.Int("replicas", defaultReplicas(), "in-process serving replicas: >1 distributes tenants across K answer-cache fronts via a consistent-hash ring (default from DIO_REPLICAS)")
+	replicas := flag.Int("replicas", 1, "in-process serving replicas: >1 distributes tenants across K answer-cache fronts via a consistent-hash ring")
 	tenantShare := flag.Int("tenant-share", 0, "answer-cache entries one tenant may hold (0 lets a tenant use a whole replica's cache)")
 	tenantQuotas := flag.String("tenant-quotas", "", "per-tenant admission QPS quotas, e.g. 'acme=5:10:2,*=1' (tenant=rate[:burst[:weight]], '*' is the default quota)")
 	tenantTokens := flag.String("tenant-tokens", "", "bearer-token tenant mapping, e.g. 'tok1=acme,tok2=umbrella'")
@@ -77,7 +76,6 @@ func main() {
 	walFsync := flag.Duration("wal-fsync-interval", 25*time.Millisecond, "WAL group-commit window: appends are acknowledged once the next periodic fsync covers them (0 syncs every batch)")
 	retention := flag.Duration("retention", 0, "drop samples older than this behind the TSDB head (0 keeps everything)")
 	checkpointEvery := flag.Duration("checkpoint-interval", 5*time.Minute, "how often the ingest store checkpoints and truncates its WAL")
-	tsdbShards := flag.Int("tsdb-shards", 1, "TSDB shards: >1 partitions series by fingerprint hash, parallelising ingest and fanning queries out to per-shard partial aggregation")
 	slowQuery := flag.Duration("slow-query-threshold", time.Second, "queries at least this long count as slow in the /debug/queries/slow log")
 	activeSlots := flag.Int("active-query-slots", 32, "in-flight queries tracked at once (the crash-survivable queries.active file holds this many slots)")
 	flag.Parse()
@@ -89,7 +87,7 @@ func main() {
 	}
 
 	cat := catalog.Generate()
-	var db tsdb.Storage
+	var db *tsdb.DB
 
 	// Durable ingest: the store recovers the TSDB from its newest
 	// checkpoint plus WAL replay, and every /api/v1/write lands in the WAL
@@ -97,13 +95,13 @@ func main() {
 	var store *ingest.Store
 	if *dataDir != "" {
 		var err error
-		store, err = ingest.OpenStore(*dataDir, ingest.StoreOptions{FsyncInterval: *walFsync, Shards: *tsdbShards})
+		store, err = ingest.OpenStore(*dataDir, ingest.StoreOptions{FsyncInterval: *walFsync})
 		if err != nil {
 			fatal("opening ingest store", err)
 		}
 		db = store.DB()
 		rs := store.ReplayStats()
-		logger.Info("opened durable store", "dir", *dataDir, "shards", store.Shards(),
+		logger.Info("opened durable store", "dir", *dataDir,
 			"series", db.NumSeries(), "samples", db.NumSamples(),
 			"wal_segments_replayed", rs.Segments, "wal_samples_replayed", rs.Samples,
 			"wal_tail_repaired", rs.TailTruncated)
@@ -121,24 +119,14 @@ func main() {
 			if lerr != nil {
 				fatal("loading snapshot", lerr)
 			}
-			if *tsdbShards > 1 {
-				// The gob snapshot is a single-store format; spread it over
-				// the requested shard layout.
-				db = tsdb.Reshard(loaded, *tsdbShards)
-			} else {
-				db = loaded
-			}
+			db = loaded
 			logger.Info("restored TSDB snapshot", "series", db.NumSeries(), "samples", db.NumSamples())
 		}
 	}
 	if db == nil || db.NumSamples() == 0 {
 		logger.Info("generating catalog and simulating operator workload", "duration", *duration)
 		if db == nil {
-			if *tsdbShards > 1 {
-				db = tsdb.NewSharded(*tsdbShards)
-			} else {
-				db = tsdb.New()
-			}
+			db = tsdb.New()
 		}
 		cfg := fivegsim.DefaultConfig()
 		cfg.Duration = *duration
@@ -169,10 +157,6 @@ func main() {
 	// itself resolve like any operator question.
 	reg := obs.NewRegistry()
 	obs.RegisterRuntimeMetrics(reg)
-	if sh, ok := db.(*tsdb.ShardedDB); ok && store == nil {
-		// The durable store registers these itself in Instrument.
-		ingest.InstrumentShards(reg, sh)
-	}
 	if n := cat.AddSelfMetrics(); n > 0 {
 		logger.Info("registered dio_* self-metrics in the catalog", "count", n)
 	}
@@ -403,19 +387,14 @@ func main() {
 	<-done
 }
 
-// saveSnapshot atomically writes the TSDB snapshot. Sharded stores are
-// gathered into the single-store gob format first.
-func saveSnapshot(db tsdb.Storage, path string) error {
-	single, ok := db.(*tsdb.DB)
-	if !ok {
-		single = db.(*tsdb.ShardedDB).Gather()
-	}
+// saveSnapshot atomically writes the TSDB snapshot.
+func saveSnapshot(db *tsdb.DB, path string) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := single.Snapshot(f); err != nil {
+	if err := db.Snapshot(f); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err
@@ -444,17 +423,6 @@ func saveIssues(t *feedback.Tracker, path string) error {
 		return err
 	}
 	return os.Rename(tmp, path)
-}
-
-// defaultReplicas reads the DIO_REPLICAS environment variable so CI legs
-// and deployments can set the replica count without editing flags.
-func defaultReplicas() int {
-	if s := os.Getenv("DIO_REPLICAS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 1
 }
 
 // parseTokens parses a comma-separated "token=tenant" bearer-token map.

@@ -28,22 +28,20 @@ import (
 // no-op and rejects older timestamps — replaying a segment that overlaps
 // the checkpoint cannot corrupt or duplicate anything.
 //
-// With Shards > 1 the store fronts a tsdb.ShardedDB and checkpoints each
-// shard to its own file, checkpoint-%08d.s%03d-of-%03d.chunks. The WAL
-// stays a single fan-in log (one fsync acknowledges every shard's
-// writes); replay routes each record back to its shard through the same
-// fingerprint hash that routed the original append. A checkpoint set is
-// only usable when every shard file for its segment exists — segments are
-// garbage-collected strictly after the full set is renamed into place, so
-// a crash mid-checkpoint falls back to the previous complete set plus a
-// longer replay, never to a partial state.
+// Earlier versions of the store, which could shard the TSDB, wrote a
+// checkpoint as a per-shard set, checkpoint-%08d.s%03d-of-%03d.chunks,
+// one file per shard. The store no longer writes that layout but still
+// reads it, so a data directory written by such a version keeps its data
+// across an upgrade: a complete set loads into the one DB (see
+// loadCheckpoint), and the next Checkpoint writes the single-file format
+// and garbage-collects the set. A set counts only when every file for its
+// segment exists; an incomplete one (a crash mid-checkpoint) falls back
+// to the previous complete checkpoint plus a longer replay.
 type Store struct {
 	dir  string
-	db   tsdb.Storage
-	// sharded is non-nil when db fronts more than one shard.
-	sharded *tsdb.ShardedDB
-	wal     *WAL
-	opts    StoreOptions
+	db   *tsdb.DB
+	wal  *WAL
+	opts StoreOptions
 
 	// mu orders appends against checkpoints: appends hold RLock across
 	// {WAL write, TSDB apply} so a checkpoint (Lock during WAL rotation)
@@ -72,10 +70,9 @@ type StoreOptions struct {
 	// FsyncInterval and SegmentBytes are passed to the WAL.
 	FsyncInterval time.Duration
 	SegmentBytes  int64
-	// Shards selects the TSDB layout: <= 1 keeps the single-DB store and
-	// checkpoint format; > 1 fronts a ShardedDB with per-shard checkpoint
-	// files. A store written under one shard count reopens cleanly under
-	// another — recovery reshards the loaded checkpoint.
+	// Shards must be 0 or 1: the store has one layout, a single DB. The
+	// field remains only because existing callers set Shards: 1; any
+	// other value makes OpenStore fail.
 	Shards int
 }
 
@@ -87,7 +84,7 @@ func checkpointName(seg int) string {
 }
 
 // shardCheckpointName names shard i's file in an of-shard checkpoint set
-// for segment seg.
+// for segment seg — the layout earlier versions wrote, read-only here.
 func shardCheckpointName(seg, i, of int) string {
 	return fmt.Sprintf("%s%08d.s%03d-of-%03d%s", checkpointPrefix, seg, i, of, checkpointSuffix)
 }
@@ -170,10 +167,11 @@ func listCheckpoints(dir string) ([]completeCheckpoint, error) {
 	return cps, nil
 }
 
-// loadCheckpoint reads a complete checkpoint into a Storage laid out for
-// the requested shard count, resharding if the set was written under a
-// different layout.
-func loadCheckpoint(dir string, cp completeCheckpoint, shards int) (tsdb.Storage, error) {
+// loadCheckpoint reads a complete checkpoint into one DB. A per-shard set
+// loads file by file: fingerprint routing put every series in exactly one
+// file, so appending each file's series (already in timestamp order)
+// rebuilds the store exactly.
+func loadCheckpoint(dir string, cp completeCheckpoint) (*tsdb.DB, error) {
 	loadOne := func(name string) (*tsdb.DB, error) {
 		f, err := os.Open(filepath.Join(dir, name))
 		if err != nil {
@@ -182,46 +180,40 @@ func loadCheckpoint(dir string, cp completeCheckpoint, shards int) (tsdb.Storage
 		defer f.Close()
 		return tsdb.LoadChunkedSnapshot(f)
 	}
-	var loaded tsdb.Storage
 	if cp.of == 0 {
 		db, err := loadOne(checkpointName(cp.seg))
 		if err != nil {
 			return nil, fmt.Errorf("ingest: load checkpoint %d: %w", cp.seg, err)
 		}
-		loaded = db
-	} else {
-		parts := make([]*tsdb.DB, cp.of)
-		for i := range parts {
-			db, err := loadOne(shardCheckpointName(cp.seg, i, cp.of))
-			if err != nil {
+		return db, nil
+	}
+	db := tsdb.New()
+	for i := 0; i < cp.of; i++ {
+		part, err := loadOne(shardCheckpointName(cp.seg, i, cp.of))
+		if err != nil {
+			return nil, fmt.Errorf("ingest: load checkpoint %d shard %d/%d: %w", cp.seg, i, cp.of, err)
+		}
+		for _, sr := range part.AllSeries() {
+			if _, _, _, err := db.AppendSamples(sr.Labels, sr.Samples); err != nil {
 				return nil, fmt.Errorf("ingest: load checkpoint %d shard %d/%d: %w", cp.seg, i, cp.of, err)
 			}
-			parts[i] = db
 		}
-		loaded = tsdb.ShardedFrom(parts)
 	}
-	switch {
-	case shards <= 1 && cp.of == 0:
-		return loaded, nil
-	case shards == cp.of:
-		return loaded, nil
-	case shards <= 1:
-		return loaded.(*tsdb.ShardedDB).Gather(), nil
-	default:
-		return tsdb.Reshard(loaded, shards), nil
-	}
+	return db, nil
 }
 
 // OpenStore recovers (or initialises) the durable store rooted at dir.
 // The layout is dir/checkpoint-*.chunks plus dir/wal/ segments.
 func OpenStore(dir string, opts StoreOptions) (*Store, error) {
+	if opts.Shards > 1 || opts.Shards < 0 {
+		return nil, fmt.Errorf("ingest: StoreOptions.Shards = %d: only the single-DB layout (0 or 1) is supported", opts.Shards)
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	s := &Store{dir: dir, opts: opts}
 
-	// 1. Newest complete checkpoint, if any, seeds the TSDB — resharded
-	// when it was written under a different shard count.
+	// 1. Newest complete checkpoint, if any, seeds the TSDB.
 	cps, err := listCheckpoints(dir)
 	if err != nil {
 		return nil, err
@@ -230,17 +222,12 @@ func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 	if len(cps) > 0 {
 		newest := cps[len(cps)-1]
 		fromSeg = newest.seg
-		db, err := loadCheckpoint(dir, newest, opts.Shards)
-		if err != nil {
+		if s.db, err = loadCheckpoint(dir, newest); err != nil {
 			return nil, err
 		}
-		s.db = db
-	} else if opts.Shards > 1 {
-		s.db = tsdb.NewSharded(opts.Shards)
 	} else {
 		s.db = tsdb.New()
 	}
-	s.sharded, _ = s.db.(*tsdb.ShardedDB)
 
 	// 2. Replay WAL segments the checkpoint does not cover. Overlap with
 	// the checkpoint is expected (rotation happens before the snapshot);
@@ -287,15 +274,7 @@ func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 
 // DB exposes the underlying TSDB for the query engine. Reads are safe
 // concurrently with appends; writes must go through Store.Append.
-func (s *Store) DB() tsdb.Storage { return s.db }
-
-// Shards reports the store's shard count (1 for the single-DB layout).
-func (s *Store) Shards() int {
-	if s.sharded != nil {
-		return s.sharded.NumShards()
-	}
-	return 1
-}
+func (s *Store) DB() *tsdb.DB { return s.db }
 
 // ReplayStats reports what crash recovery had to do when the store was
 // opened.
@@ -374,40 +353,24 @@ func (s *Store) Checkpoint() error {
 		return err
 	}
 
-	writeOne := func(db *tsdb.DB, finalName string) error {
-		tmp, err := os.CreateTemp(s.dir, checkpointPrefix+"*.tmp")
-		if err != nil {
-			return err
-		}
-		defer os.Remove(tmp.Name())
-		if err := db.SnapshotChunked(tmp); err != nil {
-			tmp.Close()
-			return err
-		}
-		if err := fsyncFile(tmp); err != nil {
-			tmp.Close()
-			return err
-		}
-		if err := tmp.Close(); err != nil {
-			return err
-		}
-		return os.Rename(tmp.Name(), filepath.Join(s.dir, finalName))
+	tmp, err := os.CreateTemp(s.dir, checkpointPrefix+"*.tmp")
+	if err != nil {
+		return err
 	}
-	if s.sharded != nil {
-		// Per-shard files. A crash before the last rename leaves a partial
-		// set; recovery ignores it (listCheckpoints requires all files) and
-		// uses the previous complete checkpoint, whose WAL segments are
-		// still present because GC runs only after this loop finishes.
-		n := s.sharded.NumShards()
-		for i := 0; i < n; i++ {
-			if err := writeOne(s.sharded.Shard(i), shardCheckpointName(newSeg, i, n)); err != nil {
-				return err
-			}
-		}
-	} else {
-		if err := writeOne(s.db.(*tsdb.DB), checkpointName(newSeg)); err != nil {
-			return err
-		}
+	defer os.Remove(tmp.Name())
+	if err := s.db.SnapshotChunked(tmp); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := fsyncFile(tmp); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, checkpointName(newSeg))); err != nil {
+		return err
 	}
 	if d, err := os.Open(s.dir); err == nil {
 		fsyncFile(d)
@@ -415,8 +378,8 @@ func (s *Store) Checkpoint() error {
 	}
 
 	// Garbage-collect what the new checkpoint supersedes: covered WAL
-	// segments, older checkpoints in any layout, and stray files from
-	// same-segment checkpoints under a different shard count.
+	// segments, older checkpoints in either layout, and any per-shard set
+	// for this same segment.
 	if err := s.wal.DeleteSegmentsBefore(newSeg); err != nil {
 		return err
 	}
@@ -424,16 +387,12 @@ func (s *Store) Checkpoint() error {
 	if err != nil {
 		return err
 	}
-	curOf := 0
-	if s.sharded != nil {
-		curOf = s.sharded.NumShards()
-	}
 	for _, e := range ents {
 		id, ok := parseCheckpointName(e.Name())
 		if !ok {
 			continue
 		}
-		if id.seg < newSeg || (id.seg == newSeg && id.of != curOf) {
+		if id.seg < newSeg || (id.seg == newSeg && id.of != 0) {
 			if err := os.Remove(filepath.Join(s.dir, e.Name())); err != nil {
 				return err
 			}
@@ -501,25 +460,4 @@ func (s *Store) Instrument(reg *obs.Registry) {
 		"Raw 16-byte samples over encoded chunk bytes.", "ratio",
 		func() float64 { return s.db.Stats().CompressionRatio })
 
-	if s.sharded != nil {
-		InstrumentShards(reg, s.sharded)
-	}
-}
-
-// InstrumentShards registers per-shard occupancy gauges for a sharded
-// TSDB: how evenly the fingerprint hash spreads series and samples.
-func InstrumentShards(reg *obs.Registry, sh *tsdb.ShardedDB) {
-	series := reg.GaugeVec("dio_shard_series",
-		"Series held by each TSDB shard.", "series", "shard")
-	samples := reg.GaugeVec("dio_shard_samples",
-		"Samples held by each TSDB shard.", "samples", "shard")
-	for i := 0; i < sh.NumShards(); i++ {
-		db := sh.Shard(i)
-		label := strconv.Itoa(i)
-		series.Func(func() float64 { return float64(db.NumSeries()) }, label)
-		samples.Func(func() float64 { return float64(db.NumSamples()) }, label)
-	}
-	reg.GaugeFunc("dio_shard_count",
-		"Configured TSDB shard count.", "shards",
-		func() float64 { return float64(sh.NumShards()) })
 }

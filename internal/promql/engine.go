@@ -59,10 +59,6 @@ type Hooks struct {
 	OnSamples func(int)
 	// OnRangeEval receives the select-once statistics of each range query.
 	OnRangeEval func(RangeStats)
-	// OnFanout receives the duration of each sharded storage fan-out (the
-	// batched per-shard select + merge). Only called when the engine
-	// fronts a ShardedDB.
-	OnFanout func(time.Duration)
 	// OnQueryStart fires when a query begins evaluating (after the
 	// concurrency gate), instant and range alike. The returned func fires
 	// when the query finishes, whatever the outcome: the active-query
@@ -86,28 +82,19 @@ type RangeStats struct {
 	// evaluation timestamps (subqueries re-anchoring their inner
 	// timeline).
 	CursorResets int
-	// DistPartials counts distribute-node evaluations served by per-shard
-	// partial aggregation; DistFallbacks counts evaluations that fell
-	// back to gather-then-evaluate (demoted by a runtime order guard).
-	// Both stay zero on unsharded storage.
-	DistPartials  int
-	DistFallbacks int
 	// PeakIntermediateBytes is the high-water mark of pooled intermediate
 	// memory across all partitions of the query — the figure the batched
 	// executor bounds by BatchSize.
 	PeakIntermediateBytes int64
 }
 
-// Engine evaluates parsed expressions against a tsdb.Storage — a single
-// DB or a ShardedDB. It is safe for concurrent use.
+// Engine evaluates parsed expressions against a tsdb.Storage. It is
+// safe for concurrent use.
 type Engine struct {
-	db   tsdb.Storage
-	opts EngineOptions
-	// sharded is set when db fronts more than one shard; it unlocks the
-	// distribute optimizer pass and per-shard partial aggregation.
-	sharded *tsdb.ShardedDB
-	gate    chan struct{}
-	hooks   Hooks
+	db    tsdb.Storage
+	opts  EngineOptions
+	gate  chan struct{}
+	hooks Hooks
 
 	// Compiled plans are cached by canonical expression string: plans
 	// store scan hints as offsets relative to the evaluation range, so
@@ -136,9 +123,6 @@ func NewEngine(db tsdb.Storage, opts EngineOptions) *Engine {
 		opts.BatchSize = defaultBatchSize
 	}
 	e := &Engine{db: db, opts: opts, plans: make(map[string]*compiledPlan)}
-	if sh, ok := db.(*tsdb.ShardedDB); ok && sh.NumShards() > 1 {
-		e.sharded = sh
-	}
 	if opts.MaxConcurrent > 0 {
 		e.gate = make(chan struct{}, opts.MaxConcurrent)
 	}
@@ -158,9 +142,6 @@ func (e *Engine) planFor(expr Expr) (cp *compiledPlan, hit bool, err error) {
 	plan, err := newPlan(expr, e.opts)
 	if err != nil {
 		return nil, false, err
-	}
-	if e.sharded != nil {
-		distributePlan(plan, e.sharded.NumShards())
 	}
 	cp, err = compilePlan(plan)
 	if err != nil {
@@ -205,8 +186,7 @@ func (e *Engine) ExplainCompact(expr Expr) (string, error) {
 
 // ExplainAnalyze executes input at ts and returns the plan annotated with
 // the measured per-operator statistics (wall time with hot-path
-// percentages, calls, output series, samples scanned, per-shard fan-out
-// latencies). The query really runs — budget, gate and hooks included.
+// percentages, calls, output series, samples scanned). The query really runs — budget, gate and hooks included.
 func (e *Engine) ExplainAnalyze(ctx context.Context, input string, ts time.Time) (string, error) {
 	expr, err := Parse(input)
 	if err != nil {

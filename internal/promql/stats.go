@@ -7,8 +7,7 @@ package promql
 // allocation-free on the hot path: part.eval and part.window add call
 // counts, output series and sampled wall time into the slot with atomics
 // (steps of one range query may run on concurrent partitions, and
-// distribute nodes fan a single operator out across shard goroutines),
-// and the scan operators attribute the samples they account into their
+// instant queries evaluate branches and series in parallel), and the scan operators attribute the samples they account into their
 // own slot. Clock reads are strided (statsTimeEvery) and scaled back up
 // when folding; every other counter is exact. After
 // the last step, buildStats folds the slots back into a QueryStats tree
@@ -16,8 +15,7 @@ package promql
 // (WithQueryStats) and rendered by Render/Compact.
 //
 // Collection never touches evaluation values — results with stats on are
-// byte-identical to the golden corpus, which stats_test.go pins at 1 and
-// 4 shards.
+// byte-identical to the golden corpus, which stats_test.go pins.
 
 import (
 	"context"
@@ -29,14 +27,10 @@ import (
 )
 
 // statsNode is the compile-time skeleton of one operator's stats slot:
-// its plan label and the slot indexes of its children. dist >= 0 marks a
-// distribute node (with its fan-out width) so buildStats can attach the
-// per-shard wall times.
+// its plan label and the slot indexes of its children.
 type statsNode struct {
-	label  string
-	kids   []int
-	dist   int
-	shards int
+	label string
+	kids  []int
 }
 
 // statsTimeEvery is the wall-time sampling stride: every N-th call of an
@@ -49,7 +43,7 @@ type statsNode struct {
 const statsTimeEvery = 16
 
 // opSlot is the per-execution accumulator of one operator. All fields are
-// updated with atomics: partitions and shard goroutines share the slots.
+// updated with atomics: partitions and parallel branches share the slots.
 type opSlot struct {
 	wallNs  int64
 	calls   int64
@@ -78,14 +72,13 @@ type QueryStats struct {
 	Samples      int64 // stored samples touched (the MaxSamples currency)
 	Steps        int
 	PlanCacheHit bool
-	Shards       int // 0 on unsharded storage
 	MaxSamples   int // the budget Samples counts against; 0 = unlimited
 	Root         *OpStats
 }
 
 // OpStats is one operator's slice of the profile. Wall is inclusive of
-// children (Self excludes them); on multi-step or fanned-out executions
-// it sums across partitions and shards, so it can exceed the query's
+// children (Self excludes them); on multi-step or parallel executions
+// it sums across partitions and branches, so it can exceed the query's
 // wall-clock duration.
 type OpStats struct {
 	Op        string
@@ -93,7 +86,6 @@ type OpStats struct {
 	Calls     int64
 	SeriesOut int64
 	Samples   int64
-	ShardWall []time.Duration // per-shard child wall, distribute nodes only
 	Children  []*OpStats
 }
 
@@ -121,9 +113,6 @@ func (qs *QueryStats) Render() string {
 	}
 	fmt.Fprintf(&b, "total %s | samples %s | steps %d | plan cache %s",
 		formatDur(qs.Duration), formatBudget(qs.Samples, qs.MaxSamples), qs.Steps, cache)
-	if qs.Shards > 0 {
-		fmt.Fprintf(&b, " | shards %d", qs.Shards)
-	}
 	b.WriteByte('\n')
 	if qs.Root != nil {
 		root := qs.Root.Wall
@@ -141,16 +130,6 @@ func renderOpTree(b *strings.Builder, o *OpStats, root time.Duration, head, tail
 		fmt.Fprintf(b, " | %d samples", o.Samples)
 	}
 	b.WriteByte(']')
-	if len(o.ShardWall) > 0 {
-		b.WriteString("  shards[")
-		for i, w := range o.ShardWall {
-			if i > 0 {
-				b.WriteByte(' ')
-			}
-			b.WriteString(formatDur(w))
-		}
-		b.WriteByte(']')
-	}
 	b.WriteByte('\n')
 	for i, c := range o.Children {
 		if i == len(o.Children)-1 {
@@ -265,9 +244,6 @@ func (st *execState) buildStats(query, kind string, start time.Time, samples int
 		PlanCacheHit: cacheHit,
 		MaxSamples:   st.eng.opts.MaxSamples,
 	}
-	if st.shardSeries != nil {
-		qs.Shards = len(st.shardSeries)
-	}
 	qs.Root = st.buildOp(st.cp.root.statsIdx())
 	return qs
 }
@@ -286,12 +262,6 @@ func (st *execState) buildOp(idx int) *OpStats {
 	// sum to the full call count (exact when every call was timed).
 	if timed := atomic.LoadInt64(&sl.timed); timed > 0 && timed < o.Calls {
 		o.Wall = time.Duration(float64(o.Wall) * float64(o.Calls) / float64(timed))
-	}
-	if sn.dist >= 0 && st.shardWallNs != nil {
-		o.ShardWall = make([]time.Duration, sn.shards)
-		for i := range o.ShardWall {
-			o.ShardWall[i] = time.Duration(atomic.LoadInt64(&st.shardWallNs[sn.dist*sn.shards+i]))
-		}
 	}
 	for _, k := range sn.kids {
 		o.Children = append(o.Children, st.buildOp(k))

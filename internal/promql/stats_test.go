@@ -2,14 +2,12 @@ package promql
 
 import (
 	"context"
-	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"dio/internal/obs"
-	"dio/internal/tsdb"
 )
 
 // TestQueryStatsByteIdentity is the inertness oracle: per-operator stats
@@ -17,44 +15,35 @@ import (
 // full production path — slot allocation, atomic accumulation,
 // buildStats, Compact — runs on every query) must be invisible in
 // results. Every corpus query, over every window shape, must render
-// byte-identically to the reference — on the single-DB store and again at
-// 4 shards, where collection also runs inside the distribute fan-out
-// goroutines.
+// byte-identically to the reference.
 func TestQueryStatsByteIdentity(t *testing.T) {
-	base, end := unshardedTestDB(t)
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			var db tsdb.Storage = base
-			if shards > 1 {
-				db = tsdb.Reshard(base, shards)
+	db, end := testDB(t)
+	// The store is one unsharded DB; the subtest keeps the name the
+	// single-shard case has always reported under.
+	t.Run("shards=1", func(t *testing.T) {
+		eng := NewEngine(db, DefaultEngineOptions())
+		eng.SetHooks(Hooks{OnQueryDone: func(obs.QueryLogEntry) {}})
+		ref := newReference(db, DefaultEngineOptions())
+		ctx := context.Background()
+		for _, w := range rangeWindows(end) {
+			for _, q := range rangeCorpus {
+				m, err := eng.QueryRange(ctx, q, w.start, w.end, w.step)
+				want, wantErr := ref.QueryRange(ctx, q, w.start, w.end, w.step)
+				checkSame(t, w.name+" "+q, m, err, want, wantErr)
+				// Instant evaluation at the window end must agree too.
+				v, err := eng.Query(ctx, q, w.end)
+				wantV, wantErr := ref.Query(ctx, q, w.end)
+				checkSame(t, "instant "+q, v, err, wantV, wantErr)
 			}
-			eng := NewEngine(db, DefaultEngineOptions())
-			eng.SetHooks(Hooks{OnQueryDone: func(obs.QueryLogEntry) {}})
-			ref := newReference(db, DefaultEngineOptions())
-			ctx := context.Background()
-			for _, w := range rangeWindows(end) {
-				for _, q := range rangeCorpus {
-					m, err := eng.QueryRange(ctx, q, w.start, w.end, w.step)
-					want, wantErr := ref.QueryRange(ctx, q, w.start, w.end, w.step)
-					checkSame(t, w.name+" "+q, m, err, want, wantErr)
-					// Instant evaluation at the window end must agree too.
-					v, err := eng.Query(ctx, q, w.end)
-					wantV, wantErr := ref.Query(ctx, q, w.end)
-					checkSame(t, "instant "+q, v, err, wantV, wantErr)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestWithQueryStatsCapture: a range evaluation under WithQueryStats must
 // deposit a fully-populated profile — totals, steps, budget, cache flag,
 // and a per-operator tree whose shape matches the plan.
 func TestWithQueryStatsCapture(t *testing.T) {
-	// Unsharded on purpose: the assertions pin the exact agg -> range_fn ->
-	// window plan shape, which a DIO_TSDB_SHARDS run would wrap in a
-	// distribute node (covered by TestQueryStatsShardWall).
-	db, end := unshardedTestDB(t)
+	db, end := testDB(t)
 	opts := DefaultEngineOptions()
 	eng := NewEngine(db, opts)
 
@@ -117,43 +106,6 @@ func TestWithQueryStatsCapture(t *testing.T) {
 	}
 	if qs2 := cap2.Stats(); qs2 == nil || !qs2.PlanCacheHit {
 		t.Error("second evaluation did not report a plan cache hit")
-	}
-}
-
-// TestQueryStatsShardWall: on sharded storage the distribute node's stats
-// must carry one wall-time slot per shard.
-func TestQueryStatsShardWall(t *testing.T) {
-	base, end := unshardedTestDB(t)
-	opts := DefaultEngineOptions()
-	eng := NewEngine(tsdb.Reshard(base, 4), opts)
-
-	ctx, cap := WithQueryStats(context.Background())
-	if _, err := eng.QueryRange(ctx, "sum(rate(amfcc_n1_auth_request[5m]))", end.Add(-10*time.Minute), end, time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	qs := cap.Stats()
-	if qs == nil {
-		t.Fatal("no stats captured")
-	}
-	if qs.Shards != 4 {
-		t.Errorf("Shards = %d, want 4", qs.Shards)
-	}
-	var dist *OpStats
-	var walk func(o *OpStats)
-	walk = func(o *OpStats) {
-		if strings.HasPrefix(o.Op, "distribute[") {
-			dist = o
-		}
-		for _, c := range o.Children {
-			walk(c)
-		}
-	}
-	walk(qs.Root)
-	if dist == nil {
-		t.Fatalf("no distribute node in the analyzed tree:\n%s", qs.Render())
-	}
-	if len(dist.ShardWall) != 4 {
-		t.Errorf("distribute ShardWall has %d slots, want 4", len(dist.ShardWall))
 	}
 }
 
@@ -296,21 +248,19 @@ func TestQueryStatsRenderFormat(t *testing.T) {
 		Duration: 1500 * time.Microsecond,
 		Samples:  42,
 		Steps:    1,
-		Shards:   2,
 		Root: &OpStats{
 			Op: "agg sum", Wall: time.Millisecond, Calls: 1, SeriesOut: 1,
 			Children: []*OpStats{
-				{Op: "scan #0 up", Wall: 600 * time.Microsecond, Calls: 1, SeriesOut: 3, Samples: 42,
-					ShardWall: []time.Duration{300 * time.Microsecond, 250 * time.Microsecond}},
+				{Op: "scan #0 up", Wall: 600 * time.Microsecond, Calls: 1, SeriesOut: 3, Samples: 42},
 			},
 		},
 	}
 	out := qs.Render()
 	for _, want := range []string{
 		"analyze for: up\n",
-		"total 1.50ms | samples 42 | steps 1 | plan cache miss | shards 2\n",
+		"total 1.50ms | samples 42 | steps 1 | plan cache miss\n",
 		"└─ agg sum  [1.00ms 100% | self 400µs | 1 calls | 1 out]\n",
-		"   └─ scan #0 up  [600µs 60% | self 600µs | 1 calls | 3 out | 42 samples]  shards[300µs 250µs]\n",
+		"   └─ scan #0 up  [600µs 60% | self 600µs | 1 calls | 3 out | 42 samples]\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Render missing %q:\n%s", want, out)

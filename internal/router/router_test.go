@@ -3,25 +3,12 @@ package router
 import (
 	"context"
 	"fmt"
-	"os"
-	"strconv"
 	"testing"
 	"time"
 
 	"dio/internal/servecache"
 	"dio/internal/tenant"
 )
-
-// testReplicas honours the DIO_REPLICAS env override (the CI multitenant
-// leg runs these suites at 4 replicas).
-func testReplicas(def int) int {
-	if s := os.Getenv("DIO_REPLICAS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
-	}
-	return def
-}
 
 func TestRingDeterministic(t *testing.T) {
 	a, b := New(5, 0), New(5, 0)
@@ -54,7 +41,7 @@ func TestRingDistribution(t *testing.T) {
 // — and every moved tenant moves TO the new replica.
 func TestRingConsistencyUnderResize(t *testing.T) {
 	const tenants = 10000
-	k := testReplicas(4)
+	const k = 4
 	old, grown := New(k, 0), New(k+1, 0)
 	moved := 0
 	for i := 0; i < tenants; i++ {
@@ -91,7 +78,7 @@ func newTestPool(replicas int) *Pool[string] {
 // TestPoolRoutesTenantToOneReplica pins that all of a tenant's requests
 // land on the replica the ring names, so its cache entries concentrate.
 func TestPoolRoutesTenantToOneReplica(t *testing.T) {
-	p := newTestPool(testReplicas(3))
+	p := newTestPool(3)
 	for i := 0; i < 50; i++ {
 		id := fmt.Sprintf("tenant-%d", i)
 		ctx := tenant.WithID(context.Background(), id)
